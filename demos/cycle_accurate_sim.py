@@ -49,7 +49,7 @@ small = ntt_modulus(14, 64)
 cfg = make_sim_config(64, 4, moduli=[small], profile=deep)
 pa = Polynomial(gen.integers(0, small.q, size=64, dtype=np.uint64), small)
 report = run(cfg, pa, op="ntt")
-print(f"dynamic replay agrees: {report.stall_cycles} stall cycles, "
+print(f"full run with numerics: {report.stall_cycles} stall cycles, "
       f"result verified against the reference transform")
 print(f"\nstall-free prediction for N=16384, Npe=16: "
       f"{predicted_cycles(16384, 16, PROFILES['q32'], 0, 'ntt')} cycles")

@@ -10,9 +10,9 @@ Z_q[x]/(x^N + 1) is built into the tables.
 The inverse butterfly halves both legs at every stage, which replaces the
 usual final multiplication by N^-1.
 
-Array functions accept stacks of polynomials (shape (..., N)) and run on
-the numpy batch kernels for moduli up to 32 bits, with a plain-int
-fallback above that.
+Array functions accept stacks of polynomials (shape (..., N)). Every
+stage runs the same per-stage butterfly kernels: numpy batch kernels for
+moduli up to 32 bits, the scalar Barrett kernel on Python ints above.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,6 @@ from nttsim.modarith import (
     Modulus,
     barrett_mul_hw,
     barrett_mul_hw_batch,
-    half_mod,
     half_mod_batch,
     mod_pow,
 )
@@ -116,34 +115,7 @@ def cached_twiddles(mod: Modulus, n: int) -> TwiddleTable:
 
 
 # ---------------------------------------------------------------------------
-# scalar butterfly kernels (shared with the simulator's butterfly units)
-
-
-def ct_butterfly(u: int, v: int, w: int, mod: Modulus):
-    """(u + w*v, u - w*v) mod q."""
-    t = barrett_mul_hw(v, w, mod)
-    hi = u + t
-    if hi >= mod.q:
-        hi -= mod.q
-    lo = u - t
-    if lo < 0:
-        lo += mod.q
-    return hi, lo
-
-
-def gs_butterfly(u: int, v: int, w_inv: int, mod: Modulus):
-    """((u + v)/2, w_inv*(u - v)/2) mod q, halving via the shift-add form."""
-    s = u + v
-    if s >= mod.q:
-        s -= mod.q
-    d = u - v
-    if d < 0:
-        d += mod.q
-    return half_mod(s, mod.q), half_mod(barrett_mul_hw(d, w_inv, mod), mod.q)
-
-
-# ---------------------------------------------------------------------------
-# array transforms
+# per-stage butterfly kernels (shared with the simulator's replay)
 
 
 def _add_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -156,6 +128,36 @@ def _sub_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.where(s >= q, s - q, s)
 
 
+def _mul_mod(a, b, mod: Modulus) -> np.ndarray:
+    """Elementwise barrett_mul_hw over broadcast uint64 arrays.
+
+    Moduli up to 32 bits run the numpy batch kernel; wider ones run the
+    scalar kernel on Python ints, which is exact up to 62 bits.
+    """
+    if mod.k > 32:
+        wide = np.frompyfunc(lambda x, y: barrett_mul_hw(x, y, mod), 2, 1)
+        return wide(a, b).astype(np.uint64)
+    return barrett_mul_hw_batch(a, b, mod)
+
+
+def ct_stage(u, v, w, mod: Modulus):
+    """Cooley-Tukey butterflies, elementwise: (u + w*v, u - w*v) mod q."""
+    t = _mul_mod(v, w, mod)
+    return _add_mod(u, t, mod.q), _sub_mod(u, t, mod.q)
+
+
+def gs_stage(u, v, w_inv, mod: Modulus):
+    """Gentleman-Sande butterflies, elementwise:
+    ((u + v)/2, w_inv*(u - v)/2) mod q, halving via the shift-add form."""
+    q = mod.q
+    lo = half_mod_batch(_mul_mod(_sub_mod(u, v, q), w_inv, mod), q)
+    return half_mod_batch(_add_mod(u, v, q), q), lo
+
+
+# ---------------------------------------------------------------------------
+# array transforms
+
+
 def _check_lengths(values: np.ndarray, tw: TwiddleTable) -> int:
     n = values.shape[-1]
     if n != tw.n:
@@ -165,89 +167,36 @@ def _check_lengths(values: np.ndarray, tw: TwiddleTable) -> int:
 
 def ntt_ct_array(values, tw: TwiddleTable) -> np.ndarray:
     """Forward transform over the last axis; natural in, bit-reversed out."""
-    if tw.mod.k > 32:
-        return _ntt_scalar(values, tw)
     out = np.array(values, dtype=np.uint64, copy=True)
     n = _check_lengths(out, tw)
-    q = tw.mod.q
     batch = out.shape[:-1]
     m, t = 1, n
     while m < n:
         t //= 2
         view = out.reshape(batch + (m, 2, t))
-        u = view[..., 0, :]
         stage_tw = tw.forward[m:2 * m].reshape((m, 1))
-        v = barrett_mul_hw_batch(view[..., 1, :], stage_tw, tw.mod)
-        hi = _add_mod(u, v, q)
-        lo = _sub_mod(u, v, q)
-        view[..., 0, :] = hi
-        view[..., 1, :] = lo
+        view[..., 0, :], view[..., 1, :] = ct_stage(
+            view[..., 0, :], view[..., 1, :], stage_tw, tw.mod
+        )
         m *= 2
     return out
 
 
 def intt_gs_array(values, tw: TwiddleTable) -> np.ndarray:
     """Inverse transform over the last axis; bit-reversed in, natural out."""
-    if tw.mod.k > 32:
-        return _intt_scalar(values, tw)
     out = np.array(values, dtype=np.uint64, copy=True)
     n = _check_lengths(out, tw)
-    q = tw.mod.q
     batch = out.shape[:-1]
     t, m = 1, n
     while m > 1:
         h = m // 2
         view = out.reshape(batch + (h, 2, t))
-        u = view[..., 0, :]
-        v = view[..., 1, :]
         stage_tw = tw.inverse[h:2 * h].reshape((h, 1))
-        lo = half_mod_batch(
-            barrett_mul_hw_batch(_sub_mod(u, v, q), stage_tw, tw.mod), q
+        view[..., 0, :], view[..., 1, :] = gs_stage(
+            view[..., 0, :], view[..., 1, :], stage_tw, tw.mod
         )
-        hi = half_mod_batch(_add_mod(u, v, q), q)
-        view[..., 0, :] = hi
-        view[..., 1, :] = lo
         t *= 2
         m = h
-    return out
-
-
-def _ntt_scalar(values, tw: TwiddleTable) -> np.ndarray:
-    out = np.array(values, dtype=np.uint64, copy=True)
-    n = _check_lengths(out, tw)
-    flat = out.reshape(-1, n)
-    fwd = [int(x) for x in tw.forward]
-    for row in flat:
-        a = [int(x) for x in row]
-        m, t = 1, n
-        while m < n:
-            t //= 2
-            for i in range(m):
-                w = fwd[m + i]
-                for j in range(2 * i * t, 2 * i * t + t):
-                    a[j], a[j + t] = ct_butterfly(a[j], a[j + t], w, tw.mod)
-            m *= 2
-        row[:] = a
-    return out
-
-
-def _intt_scalar(values, tw: TwiddleTable) -> np.ndarray:
-    out = np.array(values, dtype=np.uint64, copy=True)
-    n = _check_lengths(out, tw)
-    flat = out.reshape(-1, n)
-    inv = [int(x) for x in tw.inverse]
-    for row in flat:
-        a = [int(x) for x in row]
-        t, m = 1, n
-        while m > 1:
-            h = m // 2
-            for i in range(h):
-                w = inv[h + i]
-                for j in range(2 * i * t, 2 * i * t + t):
-                    a[j], a[j + t] = gs_butterfly(a[j], a[j + t], w, tw.mod)
-            t *= 2
-            m = h
-        row[:] = a
     return out
 
 
@@ -256,14 +205,7 @@ def pointwise_mul_array(a, b, mod: Modulus) -> np.ndarray:
     b = np.asarray(b, dtype=np.uint64)
     if a.shape != b.shape:
         raise ValueError("pointwise operands must have equal shapes")
-    if mod.k > 32:
-        flat_a, flat_b = a.reshape(-1), b.reshape(-1)
-        out = np.array(
-            [barrett_mul_hw(int(x), int(y), mod) for x, y in zip(flat_a, flat_b)],
-            dtype=np.uint64,
-        )
-        return out.reshape(a.shape)
-    return barrett_mul_hw_batch(a, b, mod)
+    return _mul_mod(a, b, mod)
 
 
 def polymul_ntt_array(a, b, tw: TwiddleTable) -> np.ndarray:

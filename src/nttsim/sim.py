@@ -1,6 +1,7 @@
-"""Cycle-accurate replay of access traces against banked memories.
+"""Cycle-accurate timing and numerics of access traces on banked memories.
 
-Timing contract (shared by the static analyzer and the dynamic replay):
+Timing contract (walked by detect_hazards, the only code that times a
+trace):
 
 - Issue groups execute in trace order; the first issues at cycle
   ``setup_cycles``.
@@ -19,25 +20,29 @@ Timing contract (shared by the static analyzer and the dynamic replay):
 - Total cycles for an op = setup + consumed issue slots + D, which
   collapses to the closed-form prediction exactly when nothing stalls.
 
-The dynamic replay additionally executes the butterfly numerics with the
-same scalar kernels the reference transforms use, and refuses to return
-a result that disagrees with the reference transform: such a mismatch is
+run() walks each op's timing once, whatever the number of RNS channels.
+Its numerics do not depend on timing, because the machine stalls rather
+than read a stale value: each stage gathers the cells and twiddle
+indices named by the trace's own records, applies one batch butterfly
+per channel and scatters the results back. run() refuses to return a
+result that disagrees with the reference transform: such a mismatch is
 a simulator bug, never expected to fire.
 """
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from nttsim.layout import LayoutMap, make_layout
-from nttsim.modarith import Modulus, barrett_mul_hw, ntt_modulus
+from nttsim.layout import make_layout
+from nttsim.modarith import Modulus, ntt_modulus
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
-    ct_butterfly,
-    gs_butterfly,
+    ct_stage,
+    gs_stage,
     intt_gs_array,
     ntt_ct_array,
     pointwise_mul_array,
@@ -135,11 +140,11 @@ def detect_hazards(
     setup_cycles: int = 0,
     policy: str = "stall",
 ) -> HazardReport:
-    """Walk the trace's timing without any numerics.
+    """Walk the trace's timing under the module's timing contract.
 
-    Maintains per-cell readiness timestamps and per-cycle port budgets
-    under the module's timing contract; findings match the dynamic
-    replay's events cycle for cycle.
+    Maintains per-cell readiness timestamps and per-cycle port budgets.
+    Under fail-fast the walk stops at the first hazard and reports only
+    that event.
     """
     delay = pipeline.total_delay(trace.op_kind)
     report = HazardReport(op_kind=trace.op_kind, issue_cycles=trace.issue_cycles)
@@ -181,47 +186,6 @@ def detect_hazards(
     report.consumed_cycles = cycle - setup_cycles
     report.total_cycles = setup_cycles + report.consumed_cycles + delay
     return report
-
-
-class CbuModel:
-    """A pipelined butterfly unit: results emerge depth cycles after
-    issue, in order, with the memory path latencies on either side."""
-
-    def __init__(self, mode: str, pipeline: PipelineConfig):
-        self.mode = mode
-        self.depth = pipeline.delay_pe(mode)
-        self._read = pipeline.delay_read
-        self._write = pipeline.delay_write
-
-    def retire_cycle(self, issue_cycle: int) -> int:
-        return issue_cycle + self._read + self.depth + self._write
-
-
-class BankedMemory:
-    """n banks of depth n; one read and one write port per bank per
-    cycle, with a readiness timestamp per cell."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.values = [[0] * n for _ in range(n)]
-        self.land = [[-1] * n for _ in range(n)]
-
-    def load(self, coeffs: Sequence[int], layout: LayoutMap) -> None:
-        for i, v in enumerate(coeffs):
-            addr, bank = layout.place(i)
-            self.values[bank][addr] = int(v)
-            self.land[bank][addr] = -1
-
-    def reset_timing(self) -> None:
-        """Clear readiness state; models the drain between chained ops."""
-        self.land = [[-1] * self.n for _ in range(self.n)]
-
-    def extract(self, layout: LayoutMap, n_total: int) -> List[int]:
-        out = []
-        for i in range(n_total):
-            addr, bank = layout.place(i)
-            out.append(self.values[bank][addr])
-        return out
 
 
 @dataclass(frozen=True)
@@ -386,90 +350,42 @@ class SimReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _replay_channel(
-    trace: ScheduleTrace,
-    mod: Modulus,
-    pipeline: PipelineConfig,
-    setup_cycles: int,
-    policy: str,
-    mem_a: BankedMemory,
-    mem_b: Optional[BankedMemory],
-) -> HazardReport:
-    """Dynamic replay: timing walk plus butterfly numerics."""
-    kind = trace.op_kind
-    cbu = CbuModel(kind, pipeline)
-    tw = cached_twiddles(mod, trace.N)
-    table = [int(x) for x in (tw.forward if kind == "ntt" else tw.inverse)]
-    report = HazardReport(op_kind=kind, issue_cycles=trace.issue_cycles)
-    mems = {"a": mem_a, "b": mem_b}
-    cycle = setup_cycles
-    for group in trace.cycles:
-        reads, writes = _group_ports(kind, group)
-        ready = cycle
-        for array, (bank, addr) in reads:
-            cell_land = mems[array].land[bank][addr]
-            if cell_land >= cycle:
-                event = HazardEvent("raw", cycle, bank, addr, cell_land + 1 - cycle)
-                if policy == "fail-fast":
-                    raise SimHazardError(event)
-                report.events.append(event)
-                report.raw_count += 1
-                ready = max(ready, cell_land + 1)
-        report.stall_cycles += ready - cycle
-        cycle = ready
-        before = len(report.events)
-        extra = _port_conflicts(reads, cycle, "read_conflict", report.events)
-        report.read_conflicts += len(report.events) - before
-        before = len(report.events)
-        extra += _port_conflicts(writes, cycle, "write_conflict", report.events)
-        report.write_conflicts += len(report.events) - before
-        if policy == "fail-fast" and (report.read_conflicts or report.write_conflicts):
-            raise SimHazardError(report.events[-1])
-        cost = 1 + extra
-        retire = cbu.retire_cycle(cycle + cost - 1)
-        av, al = mem_a.values, mem_a.land
-        if kind == "mult":
-            bv = mem_b.values
-            for rec in group:
-                b0, a0 = rec.r0
-                b1, a1 = rec.r1
-                av[b0][a0] = barrett_mul_hw(av[b0][a0], bv[b1][a1], mod)
-                al[b0][a0] = retire
-        elif kind == "ntt":
-            for rec in group:
-                b0, a0 = rec.r0
-                b1, a1 = rec.r1
-                hi, lo = ct_butterfly(av[b0][a0], av[b1][a1], table[rec.tw], mod)
-                av[b0][a0] = hi
-                av[b1][a1] = lo
-                al[b0][a0] = retire
-                al[b1][a1] = retire
-        else:
-            for rec in group:
-                b0, a0 = rec.r0
-                b1, a1 = rec.r1
-                hi, lo = gs_butterfly(av[b0][a0], av[b1][a1], table[rec.tw], mod)
-                av[b0][a0] = hi
-                av[b1][a1] = lo
-                al[b0][a0] = retire
-                al[b1][a1] = retire
-        stage = group[0].stage
-        report.per_stage[stage] = report.per_stage.get(stage, 0) + cost
-        cycle += cost
-    report.consumed_cycles = cycle - setup_cycles
-    report.total_cycles = setup_cycles + report.consumed_cycles + pipeline.total_delay(kind)
-    return report
+def _stage_cells(trace: ScheduleTrace):
+    """Per stage, in trace order: the flat cells (bank * n + addr) of each
+    record's r0 and r1 operands, and its twiddle index."""
+    n = trace.n
+    count = sum(map(len, trace.cycles))
+    stage, r0, r1, tw = np.fromiter(
+        chain.from_iterable(
+            (rec.stage, rec.r0[0] * n + rec.r0[1], rec.r1[0] * n + rec.r1[1], rec.tw)
+            for rec in chain.from_iterable(trace.cycles)
+        ),
+        dtype=np.int32,
+        count=4 * count,
+    ).reshape(count, 4).T
+    bounds = np.flatnonzero(np.diff(stage)) + 1
+    return list(zip(*(np.split(column, bounds) for column in (r0, r1, tw))))
+
+
+def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
+    """Apply one op's butterflies (or products) stage by stage, in place."""
+    if kind == "mult":
+        for r0, r1, _tw in stages:
+            mem[r0] = pointwise_mul_array(mem[r0], other[r1], mod)
+        return
+    tw = cached_twiddles(mod, len(mem))
+    table, butterfly = (tw.forward, ct_stage) if kind == "ntt" else (tw.inverse, gs_stage)
+    for r0, r1, w in stages:
+        mem[r0], mem[r1] = butterfly(mem[r0], mem[r1], table[w], mod)
 
 
 def _reference(op_kind, mod, a_coeffs, b_coeffs):
     tw = cached_twiddles(mod, len(a_coeffs))
-    arr = np.array(a_coeffs, dtype=np.uint64)
     if op_kind == "ntt":
-        return [int(x) for x in ntt_ct_array(arr, tw)]
+        return ntt_ct_array(a_coeffs, tw)
     if op_kind == "intt":
-        return [int(x) for x in intt_gs_array(arr, tw)]
-    brr = np.array(b_coeffs, dtype=np.uint64)
-    return [int(x) for x in pointwise_mul_array(arr, brr, tw.mod)]
+        return intt_gs_array(a_coeffs, tw)
+    return pointwise_mul_array(a_coeffs, b_coeffs, tw.mod)
 
 
 def _channels(value, moduli, n_total, what):
@@ -490,7 +406,7 @@ def _channels(value, moduli, n_total, what):
             raise ValueError(f"{what} channel modulus {poly.mod.q} != config {mod.q}")
         if poly.n != n_total:
             raise ValueError(f"{what} length {poly.n} != configured N {n_total}")
-    return [poly.to_ints() for poly in polys]
+    return [np.asarray(poly.coeffs, dtype=np.uint64) for poly in polys]
 
 
 def run(
@@ -499,12 +415,12 @@ def run(
     b: Union[Polynomial, RnsPolynomial, None] = None,
     op: str = "ntt",
 ) -> SimReport:
-    """Load, replay and verify one operation (or the polymul sequence).
+    """Time, replay and verify one operation (or the polymul sequence).
 
-    Per RNS channel the same trace replays against an independent pair
-    of banked arrays; counters are identical across channels and are
-    asserted to be. Final memory contents must equal the reference
-    transform's output, stalls or not.
+    detect_hazards times each op once for all RNS channels; under
+    fail-fast its first event is raised. Each channel then replays the
+    trace's numerics in its own banked memory, and the final contents
+    must equal the reference transform's output, stalls or not.
     """
     if op not in ("ntt", "intt", "mult", "polymul"):
         raise ValueError(f"unknown op {op!r}")
@@ -515,71 +431,57 @@ def run(
 
     sequence = POLYMUL_SEQUENCE if op == "polymul" else (op,)
     layout = make_layout(config.N, config.layout_kind)
-    mems_a, mems_b = [], []
-    for ch in range(len(config.moduli)):
-        mems_a.append(BankedMemory(layout.n))
-        mems_a[ch].load(a_chan[ch], layout)
-        mems_b.append(BankedMemory(layout.n))
-        if b_chan is not None:
-            mems_b[ch].load(b_chan[ch], layout)
+    index = np.arange(config.N)
+    # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
+    cells = layout.banks_of(index) * layout.n + layout.addresses_of(index)
+    held = np.argsort(cells)  # the coefficient each cell holds
+    state = {"a": a_chan, "b": b_chan or []}
+    mems = {name: [coeffs[held] for coeffs in chans] for name, chans in state.items()}
 
     op_reports: List[OpReport] = []
-    state_a = [list(c) for c in a_chan]
-    state_b = [list(c) for c in b_chan] if b_chan else None
+    trace = None
     for step, kind in enumerate(sequence):
-        if step:
-            # chained ops start only after the previous one fully retires
-            for mem in mems_a + mems_b:
-                mem.reset_timing()
-        trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
+        if trace is None or trace.op_kind != kind:
+            trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
+            stages = _stage_cells(trace)
+        # chained ops start only after the previous one fully retires
+        timing = detect_hazards(
+            trace, config.pipeline, config.setup_cycles, config.hazard_policy
+        )
+        if config.hazard_policy == "fail-fast" and timing.events:
+            raise SimHazardError(timing.events[0])
         # in the polymul sequence the second forward transform runs on b
-        on_b = op == "polymul" and step == 1
-        channel_reports = []
+        target = "b" if op == "polymul" and step == 1 else "a"
         for ch, mod in enumerate(config.moduli):
-            mem_main = mems_b[ch] if on_b else mems_a[ch]
-            mem_other = mems_b[ch] if kind == "mult" else None
-            rep = _replay_channel(
-                trace, mod, config.pipeline, config.setup_cycles,
-                config.hazard_policy, mem_main, mem_other,
+            mem = mems[target][ch]
+            other = mems["b"][ch] if kind == "mult" else None
+            _replay_numerics(kind, stages, mem, other, mod)
+            expect = _reference(
+                kind, mod, state[target][ch],
+                state["b"][ch] if kind == "mult" else None,
             )
-            channel_reports.append(rep)
-            got = mem_main.extract(layout, config.N)
-            if on_b:
-                expect = _reference(kind, mod, state_b[ch], None)
-                state_b[ch] = expect
-            else:
-                expect = _reference(
-                    kind, mod, state_a[ch],
-                    state_b[ch] if kind == "mult" else None,
-                )
-                state_a[ch] = expect
-            if got != expect:
+            state[target][ch] = expect
+            if not np.array_equal(mem[cells], expect):
                 raise SimMismatchError(
                     f"{kind} result mismatch on channel {ch} (q={mod.q})"
                 )
-        first = channel_reports[0]
-        assert all(
-            (r.stall_cycles, r.consumed_cycles, r.events)
-            == (first.stall_cycles, first.consumed_cycles, first.events)
-            for r in channel_reports
-        ), "channels must replay with identical timing"
         butterflies = sum(len(g) for g in trace.cycles)
         op_reports.append(
             OpReport(
                 op_kind=kind,
-                issue_cycles=first.issue_cycles,
-                consumed_cycles=first.consumed_cycles,
-                total_cycles=first.total_cycles,
-                stall_cycles=first.stall_cycles,
-                raw_count=first.raw_count,
-                bank_conflicts=first.read_conflicts + first.write_conflicts,
-                utilization=butterflies / (config.npe * first.consumed_cycles),
-                per_stage=first.per_stage,
-                events=first.events,
+                issue_cycles=timing.issue_cycles,
+                consumed_cycles=timing.consumed_cycles,
+                total_cycles=timing.total_cycles,
+                stall_cycles=timing.stall_cycles,
+                raw_count=timing.raw_count,
+                bank_conflicts=timing.read_conflicts + timing.write_conflicts,
+                utilization=butterflies / (config.npe * timing.consumed_cycles),
+                per_stage=timing.per_stage,
+                events=timing.events,
             )
         )
 
-    results = state_a
+    results = [chan.tolist() for chan in state["a"]]
     try:
         predicted = predicted_cycles(
             config.N, config.npe, config.pipeline, config.setup_cycles, op

@@ -44,6 +44,7 @@ from nttsim.schedule import (
 from nttsim.sim import detect_hazards, make_sim_config, predicted_cycles, run
 
 from conftest import negacyclic_schoolbook_oracle, sieve_primes
+from timing_oracle import oracle_timing
 
 
 @contextmanager
@@ -69,6 +70,20 @@ def valid_npes(n_total):
 def random_poly(mod, n, seed):
     gen = np.random.default_rng(seed)
     return Polynomial(gen.integers(0, mod.q, size=n, dtype=np.uint64), mod)
+
+
+# the cycle-stepped oracle is run on every N up to this size
+ORACLE_MAX_N = 1024
+
+
+def assert_timing_matches_oracle(trace, pipe, *reports):
+    """Static and dynamic reports agree with the independent oracle."""
+    want = oracle_timing(trace, pipe)
+    for rep in reports:
+        got = (rep.events, rep.stall_cycles, rep.per_stage, rep.total_cycles)
+        assert got == (
+            want.events, want.stall_cycles, want.per_stage, want.total_cycles
+        ), (trace.N, trace.npe, trace.op_kind, trace.layout_kind)
 
 
 # golden per-PE clock-cycle counts for N=4096, 32-bit profile
@@ -143,7 +158,10 @@ class TestCriterion3:
                             static = detect_hazards(trace, pipe)
                             dynamic = run(cfg, a, b if op == "mult" else None, op=op)
                             rep = dynamic.reports[0]
-                            # static and dynamic agree event for event
+                            # static and dynamic agree with the oracle event
+                            # for event
+                            if n_total <= ORACLE_MAX_N:
+                                assert_timing_matches_oracle(trace, pipe, static, rep)
                             assert static.events == rep.events, (n_total, npe, op)
                             assert static.stall_cycles == rep.stall_cycles
                             assert static.total_cycles == rep.total_cycles
@@ -172,6 +190,8 @@ class TestCriterion3:
                 dynamic = run(cfg, random_poly(mod, n_total, 105), op="ntt")
                 rep = dynamic.reports[0]
                 assert rep.bank_conflicts > 0
+                if n_total <= ORACLE_MAX_N:
+                    assert_timing_matches_oracle(trace, PROFILES["q32"], static, rep)
                 assert static.events == rep.events, n_total
 
     def test_overdeep_pipeline_injection(self):
@@ -188,6 +208,8 @@ class TestCriterion3:
                 dynamic = run(cfg, random_poly(mod, n_total, 106), op="ntt")
                 rep = dynamic.reports[0]
                 assert rep.stall_cycles == static.stall_cycles > 0
+                if n_total <= ORACLE_MAX_N:
+                    assert_timing_matches_oracle(trace, deep, static, rep)
                 assert static.events == rep.events, n_total
 
 

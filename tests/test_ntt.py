@@ -149,6 +149,20 @@ class TestInverseTransform:
             out = intt_gs_array(ntt_ct_array(batch, tw), tw)
             np.testing.assert_array_equal(out, batch)
 
+    @pytest.mark.parametrize("bits", [40, 62])
+    def test_wide_modulus_batch_roundtrip(self, bits):
+        # moduli above 32 bits take the Python-int multiply in every stage
+        n = 64
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        gen = np.random.default_rng(bits)
+        batch = gen.integers(0, mod.q, size=(3, n), dtype=np.uint64)
+        forward = ntt_ct_array(batch, tw)
+        bits_n = n.bit_length() - 1
+        natural = naive_negacyclic_ntt(batch[1].tolist(), tw.psi, mod.q)
+        assert forward[1].tolist() == [natural[bit_reverse(r, bits_n)] for r in range(n)]
+        np.testing.assert_array_equal(intt_gs_array(forward, tw), batch)
+
 
 class TestPointwise:
     def test_identity_vector(self):

@@ -2,14 +2,17 @@
 
 Cycle totals are pinned to frozen golden per-PE counts; numerics are
 pinned to the reference transforms; the static and dynamic hazard
-analyzers must agree event for event.
+reports must agree event for event with the independent cycle-stepped
+oracle in timing_oracle.py.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from nttsim import cli, sim
 from nttsim.modarith import ntt_modulus
 from nttsim.ntt import (
     Polynomial,
@@ -18,12 +21,14 @@ from nttsim.ntt import (
     ntt_ct_array,
     pointwise_mul_array,
     polymul_ntt_array,
+    schoolbook_negacyclic_array,
 )
 from nttsim.rns import decompose, gen_basis, reconstruct, rns_polymul
 from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, check_raw_bound
 from nttsim.sim import (
     SimConfig,
     SimHazardError,
+    SimMismatchError,
     detect_hazards,
     make_sim_config,
     predicted_cycles,
@@ -31,6 +36,7 @@ from nttsim.sim import (
 )
 
 from conftest import negacyclic_schoolbook_oracle
+from timing_oracle import oracle_timing
 
 
 def random_poly(mod, n, seed):
@@ -175,6 +181,97 @@ class TestStalls:
         assert err.value.cycle >= 0
 
 
+class TestFailFastFirstEvent:
+    """run() under fail-fast raises the first event of the timing walk."""
+
+    GEOMETRIES = [(16, 1), (16, 2), (64, 1), (64, 2), (64, 4)] + [
+        (256, npe) for npe in (1, 2, 4, 8)
+    ]
+    # deeper than the RAW bound of every geometry above (at most 64)
+    DEEP = PipelineConfig(delay_read=2, delay_write=2, delay_pe_ntt=64, delay_pe_mult=14)
+
+    @pytest.mark.parametrize("profile", ["q32", "deep"])
+    @pytest.mark.parametrize("layout", ["shifted", "sequential"])
+    @pytest.mark.parametrize("op", ["ntt", "intt"])
+    @pytest.mark.parametrize("n_total,npe", GEOMETRIES)
+    def test_raised_event_is_first_event(self, n_total, npe, op, layout, profile):
+        pipe = self.DEEP if profile == "deep" else PROFILES[profile]
+        cfg = make_sim_config(
+            n_total, npe, q_bits=14, profile=pipe,
+            hazard_policy="fail-fast", layout_kind=layout,
+        )
+        a = random_poly(cfg.moduli[0], n_total, 26)
+        trace = build_schedule(n_total, npe, op, layout_kind=layout)
+        static = detect_hazards(trace, pipe, policy="fail-fast")
+        stalled = run(dataclasses.replace(cfg, hazard_policy="stall"), a, op=op)
+        first = oracle_timing(trace, pipe).events[:1]
+        assert static.events == stalled.reports[0].events[:1] == first
+        if not first:
+            # the q32 profile is within the RAW bound of some shifted geometries
+            assert run(cfg, a, op=op).stall_cycles == 0
+            return
+        with pytest.raises(SimHazardError) as err:
+            run(cfg, a, op=op)
+        assert err.value.event == first[0]
+
+
+class TestMismatchCheck:
+    """A trace whose cells or twiddles are wrong must fail the reference
+    check, so the replay provably follows the trace's own records."""
+
+    CORRUPTIONS = [("ntt", "tw"), ("ntt", "r1"), ("intt", "tw"), ("intt", "r1"), ("mult", "r1")]
+
+    @staticmethod
+    def corrupt_schedule(monkeypatch, op, field):
+        real = sim.build_schedule
+
+        def corrupted(*args, **kwargs):
+            trace = real(*args, **kwargs)
+            if trace.op_kind != op:
+                return trace
+            cycles = [list(group) for group in trace.cycles]
+            first, second = cycles[0][0], cycles[0][1]
+            if field == "tw":
+                cycles[0][0] = first._replace(tw=0 if first.tw else 1)
+            else:
+                cycles[0][0] = first._replace(r1=second.r1)
+            return dataclasses.replace(trace, cycles=cycles)
+
+        monkeypatch.setattr(sim, "build_schedule", corrupted)
+
+    @pytest.mark.parametrize("op,field", CORRUPTIONS)
+    def test_corrupted_trace_raises(self, monkeypatch, op, field):
+        cfg = make_sim_config(64, 4, q_bits=14, profile="q14")
+        a = random_poly(cfg.moduli[0], 64, 27)
+        b = random_poly(cfg.moduli[0], 64, 28)
+        run(cfg, a, b, op=op)
+        self.corrupt_schedule(monkeypatch, op, field)
+        with pytest.raises(SimMismatchError):
+            run(cfg, a, b, op=op)
+
+    def test_cli_exits_3(self, monkeypatch, capsys):
+        argv = ["sim", "--n", "64", "--npe", "4", "--q-bits", "14", "--op", "polymul"]
+        assert cli.main(argv) == 0
+        self.corrupt_schedule(monkeypatch, "intt", "tw")
+        assert cli.main(argv) == 3
+        assert "mismatch" in capsys.readouterr().err
+
+
+class TestWideModuli:
+    @pytest.mark.parametrize("bits", [40, 62])
+    def test_run_above_32_bits(self, bits):
+        cfg = make_sim_config(64, 4, q_bits=bits, profile="q32")
+        mod = cfg.moduli[0]
+        assert mod.k > 32
+        a = random_poly(mod, 64, bits)
+        b = random_poly(mod, 64, bits + 1)
+        forward = run(cfg, a, op="ntt").results[0]
+        back = run(cfg, Polynomial(np.array(forward, dtype=np.uint64), mod), op="intt")
+        assert back.results[0] == a.to_ints()
+        product = run(cfg, a, b, op="polymul").results[0]
+        assert product == schoolbook_negacyclic_array(a.coeffs, b.coeffs, mod).tolist()
+
+
 class TestHazardAnalyzers:
     def test_clean_config_empty_report(self):
         trace = build_schedule(4096, 32, "ntt")
@@ -203,9 +300,12 @@ class TestHazardAnalyzers:
             )
             a = random_poly(cfg.moduli[0], n_total, 15)
             dynamic = run(cfg, a, op="ntt")
-            assert static.events == dynamic.reports[0].events
-            assert static.stall_cycles == dynamic.stall_cycles
-            assert static.total_cycles == dynamic.total_cycles
+            want = oracle_timing(trace, PROFILES[prof])
+            for rep in (static, dynamic.reports[0]):
+                assert rep.events == want.events
+                assert rep.stall_cycles == want.stall_cycles
+                assert rep.per_stage == want.per_stage
+                assert rep.total_cycles == want.total_cycles
 
     def test_sequential_layout_result_still_correct(self):
         cfg = make_sim_config(16, 2, q_bits=14, profile="q14", layout_kind="sequential")
