@@ -12,9 +12,10 @@ from collections import Counter
 from nttsim.schedule import PROFILES, build_schedule, check_raw_bound, trace_stats
 
 trace = build_schedule(64, 4, "ntt")
+cycles = trace.cycles  # Record view of the trace's columns
 print("N=64, Npe=4: first cycles of each phase\n")
 for cycle_no in (0, 1, 24, 25):
-    recs = trace.cycles[cycle_no]
+    recs = cycles[cycle_no]
     stage = recs[0].stage
     phase = 0 if stage < 3 else 1
     cells = ", ".join(f"b{r.r0[0]}a{r.r0[1]}+b{r.r1[0]}a{r.r1[1]}" for r in recs)

@@ -194,6 +194,8 @@ def _moduli(opts: Options, n: int) -> List[Modulus]:
     bits = opts.q_bits
     if bits is None:
         raise ValueError("either --q or --q-bits is required")
+    if opts.nq < 1:
+        raise ValueError(f"--nq must be at least 1, got {opts.nq}")
     return [ntt_modulus(bits, n, i) for i in range(opts.nq)]
 
 

@@ -335,5 +335,11 @@ def read_polynomial(stream: IO[str], mod: Modulus = None) -> Polynomial:
         mod = barrett_precompute(q)
     elif mod.q != q:
         raise ValueError(f"file modulus {q} does not match expected {mod.q}")
-    coeffs = [int(stream.readline()) for _ in range(n)]
-    return Polynomial.from_ints(coeffs, mod)
+    lines = stream.read().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()  # trailing blank lines are allowed
+    if len(lines) != n:
+        raise ValueError(
+            f"polynomial header says {n} coefficients, the file has {len(lines)}"
+        )
+    return Polynomial.from_ints([int(line) for line in lines], mod)

@@ -20,12 +20,12 @@ tightest producer-consumer distance in this schedule is
 when its total depth is strictly below that.
 """
 
-import csv
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, List, NamedTuple, Optional, Tuple
 
-from nttsim.layout import LayoutMap, make_layout
+import numpy as np
+
+from nttsim.layout import make_layout
 
 OP_KINDS = ("ntt", "intt", "mult")
 
@@ -85,20 +85,58 @@ class Record(NamedTuple):
     tw: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleTrace:
-    """Per-issue-cycle access lists for one operation."""
+    """One operation's accesses as int32 columns, one row per butterfly.
+
+    Rows are in issue order; row j runs on PE j % npe in issue group
+    j // npe. r0 and r1 are flat cells (bank * n + addr). A butterfly
+    writes back to the cells it read (w0 = r0, w1 = r1). A pointwise
+    multiply reads r0 from the operand memory a and r1 from the second
+    operand memory b, writes only r0 in a, and has no twiddle (tw = -1).
+    """
 
     op_kind: str
     N: int
     n: int
     npe: int
     layout_kind: str
-    cycles: List[List[Record]]
+    stage: np.ndarray
+    rnd: np.ndarray
+    r0: np.ndarray
+    r1: np.ndarray
+    tw: np.ndarray
 
     @property
     def issue_cycles(self) -> int:
-        return len(self.cycles)
+        return len(self.stage) // self.npe
+
+    def stage_slices(self) -> List[Tuple[int, slice]]:
+        """(stage, rows) for each stage in trace order; a stage's rows are
+        contiguous and fill whole issue groups."""
+        starts = (np.flatnonzero(np.diff(self.stage)) + 1).tolist()
+        edges = [0, *starts, len(self.stage)]
+        return [
+            (int(self.stage[lo]), slice(lo, hi)) for lo, hi in zip(edges, edges[1:])
+        ]
+
+    @property
+    def cycles(self) -> List[List[Record]]:
+        """The trace as issue groups of Records, built anew on each access."""
+        n, npe = self.n, self.npe
+        b0, a0 = np.divmod(self.r0, n)
+        b1, a1 = np.divmod(self.r1, n)
+        rows = zip(
+            (np.arange(len(self.stage)) % npe).tolist(), self.stage.tolist(),
+            self.rnd.tolist(), b0.tolist(), a0.tolist(), b1.tolist(), a1.tolist(),
+            self.tw.tolist(),
+        )
+        mult = self.op_kind == "mult"
+        recs = [
+            Record(pe, s, r, (x0, y0), (x1, y1), (x0, y0), None if mult else (x1, y1), t)
+            for pe, s, r, x0, y0, x1, y1, t in rows
+        ]
+        return [recs[i:i + npe] for i in range(0, len(recs), npe)]
 
 
 def validate_geometry(n_total: int, npe: int) -> int:
@@ -114,79 +152,77 @@ def validate_geometry(n_total: int, npe: int) -> int:
     return n
 
 
-def _stage_fullrate_pairs(n_total: int, n: int, s: int):
-    """Yield one full-rate cycle at a time: [(i0, i1, round), ...].
+def _stage_pairs(n_total: int, n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """First coefficient index i0 (its partner is i0 + N/2^(s+1)) and round
+    of every butterfly of stage s, in issue order.
 
     Pairs are ordered segment-major (phase 0) or block-major (phase 1);
     any contiguous slice of Npe pairs reads 2*Npe distinct banks.
     """
     k = n_total.bit_length() - 1
     gap = n_total >> (s + 1)
+
+    def arange(count):
+        return np.arange(count, dtype=np.int32)
+
     if s < k // 2:
-        # phase 0: each round r covers indices [r*N/2^s, (r+1)*N/2^s);
-        # one cycle reads 2^s column segments offset by n/2^s rows
+        # phase 0: round r covers indices [r*N/2^s, (r+1)*N/2^s); full-rate
+        # cycle t reads 2^s column segments j offset by n/2^s rows, each
+        # pairing rows a and a + n/2^(s+1) of the round
         rows_per_round = n >> s
-        half = rows_per_round // 2
         segments = 1 << s
-        for r in range(segments):
-            for t in range(rows_per_round):
-                pairs = []
-                for j in range(segments):
-                    col = t + j * rows_per_round
-                    for a in range(half):
-                        i0 = (r * rows_per_round + a) * n + col
-                        pairs.append((i0, i0 + gap, r))
-                yield pairs
+        r = arange(segments)[:, None, None, None]
+        t = arange(rows_per_round)[None, :, None, None]
+        j = arange(segments)[None, None, :, None]
+        a = arange(rows_per_round // 2)[None, None, None, :]
+        i0 = (r * rows_per_round + a) * n + t + j * rows_per_round
+        rnd = np.broadcast_to(r, i0.shape)
     else:
-        # phase 1: pairs sit inside single rows; read row by row
+        # phase 1: pairs sit inside single rows; read row by row, block by block
         block = 2 * gap
         blocks_per_row = n // block
-        for row in range(n):
-            pairs = []
-            for beta in range(blocks_per_row):
-                rnd = row * blocks_per_row + beta
-                base = row * n + beta * block
-                for o in range(gap):
-                    pairs.append((base + o, base + o + gap, rnd))
-            yield pairs
-
-
-def _cell(layout: LayoutMap, i: int) -> Cell:
-    addr, bank = layout.place(i)
-    return (bank, addr)
+        row = arange(n)[:, None, None]
+        beta = arange(blocks_per_row)[None, :, None]
+        i0 = row * n + beta * block + arange(gap)[None, None, :]
+        rnd = np.broadcast_to(row * blocks_per_row + beta, i0.shape)
+    return i0.ravel(), rnd.ravel()
 
 
 def build_schedule(
     n_total: int, npe: int, op_kind: str, layout_kind: str = "shifted"
 ) -> ScheduleTrace:
-    """Materialize the per-cycle (bank, address) access trace."""
+    """Compute the access trace's columns, stage by stage."""
     if op_kind not in OP_KINDS:
         raise ValueError(f"unknown op kind {op_kind!r}; expected one of {OP_KINDS}")
     n = validate_geometry(n_total, npe)
     layout = make_layout(n_total, layout_kind)
-    cycles: List[List[Record]] = []
+
+    def cells(indices):
+        return layout.banks_of(indices) * n + layout.addresses_of(indices)
+
     if op_kind == "mult":
-        for base in range(0, n_total, npe):
-            recs = []
-            for pe in range(npe):
-                i = base + pe
-                cell = _cell(layout, i)
-                recs.append(Record(pe, 0, i // n, cell, cell, cell, None, -1))
-            cycles.append(recs)
-        return ScheduleTrace(op_kind, n_total, n, npe, layout_kind, cycles)
+        index = np.arange(n_total, dtype=np.int32)
+        cell = cells(index)
+        stage = np.zeros(n_total, dtype=np.int32)
+        tw = np.full(n_total, -1, dtype=np.int32)
+        return ScheduleTrace(
+            op_kind, n_total, n, npe, layout_kind, stage, index // n, cell, cell, tw
+        )
 
     k = n_total.bit_length() - 1
     stage_order = range(k) if op_kind == "ntt" else range(k - 1, -1, -1)
+    columns = {"stage": [], "rnd": [], "r0": [], "r1": [], "tw": []}
     for s in stage_order:
-        tw_base = 1 << s
-        for pairs in _stage_fullrate_pairs(n_total, n, s):
-            for start in range(0, len(pairs), npe):
-                recs = []
-                for pe, (i0, i1, rnd) in enumerate(pairs[start:start + npe]):
-                    c0, c1 = _cell(layout, i0), _cell(layout, i1)
-                    recs.append(Record(pe, s, rnd, c0, c1, c0, c1, tw_base + rnd))
-                cycles.append(recs)
-    return ScheduleTrace(op_kind, n_total, n, npe, layout_kind, cycles)
+        i0, rnd = _stage_pairs(n_total, n, s)
+        columns["stage"].append(np.full(len(i0), s, dtype=np.int32))
+        columns["rnd"].append(rnd)
+        columns["r0"].append(cells(i0))
+        columns["r1"].append(cells(i0 + (n_total >> (s + 1))))
+        columns["tw"].append(rnd + (1 << s))
+    return ScheduleTrace(
+        op_kind, n_total, n, npe, layout_kind,
+        **{name: np.concatenate(parts) for name, parts in columns.items()},
+    )
 
 
 @dataclass(frozen=True)
@@ -241,30 +277,24 @@ class ScheduleStats:
 
 
 def trace_stats(trace: ScheduleTrace) -> ScheduleStats:
-    stage_cycles = Counter()
-    stage_rounds = {}
-    reads = [0] * trace.n
-    writes = [0] * trace.n
-    total = 0
-    for cycle in trace.cycles:
-        stage_cycles[cycle[0].stage] += 1
-        for rec in cycle:
-            total += 1
-            stage_rounds.setdefault(rec.stage, set()).add(rec.rnd)
-            reads[rec.r0[0]] += 1
-            reads[rec.r1[0]] += 1
-            writes[rec.w0[0]] += 1
-            if rec.w1 is not None:
-                writes[rec.w1[0]] += 1
+    n = trace.n
+    slices = trace.stage_slices()
+    read_banks = np.bincount(trace.r0 // n, minlength=n) + np.bincount(
+        trace.r1 // n, minlength=n
+    )
+    write_banks = (
+        np.bincount(trace.r0 // n, minlength=n) if trace.op_kind == "mult" else read_banks
+    )
+    rows = len(trace.stage)
     return ScheduleStats(
         op_kind=trace.op_kind,
-        issue_cycles=len(trace.cycles),
-        butterflies=total,
-        utilization=total / (trace.npe * len(trace.cycles)),
-        cycles_per_stage=dict(stage_cycles),
-        rounds_per_stage={s: len(r) for s, r in stage_rounds.items()},
-        reads_per_bank=reads,
-        writes_per_bank=writes,
+        issue_cycles=trace.issue_cycles,
+        butterflies=rows,
+        utilization=rows / (trace.npe * trace.issue_cycles),
+        cycles_per_stage={s: (sl.stop - sl.start) // trace.npe for s, sl in slices},
+        rounds_per_stage={s: len(np.unique(trace.rnd[sl])) for s, sl in slices},
+        reads_per_bank=read_banks.tolist(),
+        writes_per_bank=write_banks.tolist(),
     )
 
 
@@ -274,16 +304,24 @@ CSV_COLUMNS = [
     "w0_bank", "w0_addr", "w1_bank", "w1_addr", "tw_idx",
 ]
 
+# rows are formatted a chunk at a time so the Python ints and the text
+# held at once stay small for large N
+_CSV_CHUNK_ROWS = 4096
+
 
 def export_csv(trace: ScheduleTrace, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for cycle_no, cycle in enumerate(trace.cycles):
-        for rec in cycle:
-            w1b, w1a = ("", "") if rec.w1 is None else rec.w1
-            writer.writerow([
-                cycle_no, rec.pe, rec.stage, rec.rnd,
-                rec.r0[0], rec.r0[1], rec.r1[0], rec.r1[1],
-                rec.w0[0], rec.w0[1], w1b, w1a,
-                rec.tw if rec.tw >= 0 else "",
-            ])
+    """One CSV row per trace row; a multiply's w1 and tw_idx are empty."""
+    stream.write(",".join(CSV_COLUMNS) + "\n")
+    row_no = np.arange(len(trace.stage), dtype=np.int32)
+    b0, a0 = np.divmod(trace.r0, trace.n)
+    b1, a1 = np.divmod(trace.r1, trace.n)
+    columns = [row_no // trace.npe, row_no % trace.npe, trace.stage, trace.rnd,
+               b0, a0, b1, a1, b0, a0]
+    if trace.op_kind == "mult":
+        row_format = ",".join(["%d"] * len(columns)) + ",,,\n"
+    else:
+        columns += [b1, a1, trace.tw]
+        row_format = ",".join(["%d"] * len(columns)) + "\n"
+    for lo in range(0, len(row_no), _CSV_CHUNK_ROWS):
+        block = np.column_stack([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns])
+        stream.write(row_format * len(block) % tuple(block.ravel().tolist()))

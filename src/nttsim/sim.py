@@ -19,19 +19,32 @@ trace):
   observable.
 - Total cycles for an op = setup + consumed issue slots + D, which
   collapses to the closed-form prediction exactly when nothing stalls.
+- Events are ordered by issue group; within a group come RAW events in
+  port order (every r0, then every r1), then read conflicts by
+  (array, bank), then write conflicts by bank.
+
+detect_hazards works on the trace's int32 columns with array operations:
+port conflicts per group from sorted (array, bank) keys, each read's
+producer (the last write to its cell in an earlier group) from one sort
+and a binary search, and stall-free issue cycles as setup plus an
+exclusive prefix sum of slot lengths. Stalls only delay later groups,
+so only a read whose producer retires at or after the read's stall-free
+issue cycle can stall. Python walks just the groups holding such reads,
+in order, carrying the stall shift; a stall-free trace runs no
+per-group Python.
 
 run() walks each op's timing once, whatever the number of RNS channels.
 Its numerics do not depend on timing, because the machine stalls rather
 than read a stale value: each stage gathers the cells and twiddle
-indices named by the trace's own records, applies one batch butterfly
-per channel and scatters the results back. run() refuses to return a
+indices in the trace's own columns, applies one batch butterfly per
+channel and scatters the results back. run() refuses to return a
 result that disagrees with the reference transform: such a mismatch is
 a simulator bug, never expected to fire.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -110,28 +123,31 @@ class HazardReport:
     per_stage: dict = field(default_factory=dict)
 
 
-def _group_ports(trace_kind: str, group):
-    """(array, bank) access lists for one issue group."""
-    if trace_kind == "mult":
-        reads = [("a", rec.r0) for rec in group] + [("b", rec.r1) for rec in group]
-        writes = [("a", rec.w0) for rec in group]
-    else:
-        reads = [("a", rec.r0) for rec in group] + [("a", rec.r1) for rec in group]
-        writes = [("a", rec.w0) for rec in group] + [("a", rec.w1) for rec in group]
-    return reads, writes
+HAZARD_KINDS = ("raw", "read_conflict", "write_conflict")
 
 
-def _port_conflicts(accesses, cycle, kind, events):
-    """Count over-subscribed banks; one event per (bank, cycle)."""
-    counts = {}
-    for array, (bank, _addr) in accesses:
-        counts[(array, bank)] = counts.get((array, bank), 0) + 1
-    extra = 0
-    for (_array, bank), c in sorted(counts.items()):
-        if c > 1:
-            events.append(HazardEvent(kind, cycle, bank, -1, c - 1))
-            extra += c - 1
-    return extra
+def _check_setup(setup_cycles: int) -> None:
+    if setup_cycles < 0:
+        raise ValueError(f"setup cycles must be nonnegative, got {setup_cycles}")
+
+
+def _port_runs(keys: np.ndarray):
+    """Over-subscribed ports of each issue group.
+
+    keys holds one row per group of port keys (array * n + bank). Returns
+    the extra accesses per group, and one (group, key, extra) triple of
+    arrays with an entry per over-subscribed port in (group, key) order.
+    """
+    ordered = np.sort(keys, axis=1)
+    same = ordered[:, 1:] == ordered[:, :-1]
+    extra = same.sum(axis=1)
+    if not extra.any():
+        empty = np.zeros(0, dtype=np.int64)
+        return extra, (empty, empty, empty)
+    edges = np.diff(np.pad(same, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    group, start = np.nonzero(edges == 1)
+    _group, end = np.nonzero(edges == -1)
+    return extra, (group, ordered[group, start], end - start)
 
 
 def detect_hazards(
@@ -140,52 +156,164 @@ def detect_hazards(
     setup_cycles: int = 0,
     policy: str = "stall",
 ) -> HazardReport:
-    """Walk the trace's timing under the module's timing contract.
+    """Time the trace under the module's timing contract.
 
-    Maintains per-cell readiness timestamps and per-cycle port budgets.
     Under fail-fast the walk stops at the first hazard and reports only
     that event.
     """
+    _check_setup(setup_cycles)
     delay = pipeline.total_delay(trace.op_kind)
-    report = HazardReport(op_kind=trace.op_kind, issue_cycles=trace.issue_cycles)
-    land: dict = {}
-    cycle = setup_cycles
-    for group in trace.cycles:
-        reads, writes = _group_ports(trace.op_kind, group)
-        ready = cycle
-        for key in reads:
-            cell_land = land.get(key, -1)
-            if cell_land >= cycle:
-                report.events.append(
-                    HazardEvent("raw", cycle, key[1][0], key[1][1], cell_land + 1 - cycle)
-                )
-                report.raw_count += 1
-                ready = max(ready, cell_land + 1)
-        if ready > cycle:
-            if policy == "fail-fast":
-                report.events = report.events[:1]
-                break
-            report.stall_cycles += ready - cycle
-            cycle = ready
-        n_events = len(report.events)
-        extra = _port_conflicts(reads, cycle, "read_conflict", report.events)
-        report.read_conflicts += len(report.events) - n_events
-        n_events = len(report.events)
-        extra += _port_conflicts(writes, cycle, "write_conflict", report.events)
-        report.write_conflicts += len(report.events) - n_events
-        if (report.read_conflicts or report.write_conflicts) and policy == "fail-fast":
-            report.events = report.events[:1]
-            break
-        cost = 1 + extra
-        retire = cycle + cost - 1 + delay
-        for key in writes:
-            land[key] = retire
-        stage = group[0].stage
-        report.per_stage[stage] = report.per_stage.get(stage, 0) + cost
-        cycle += cost
-    report.consumed_cycles = cycle - setup_cycles
+    n, npe, groups = trace.n, trace.npe, trace.issue_cycles
+    report = HazardReport(op_kind=trace.op_kind, issue_cycles=groups)
+
+    # one row per issue group: read cells in port order (every r0, then
+    # every r1) and written cells; the multiply's second operand sits in
+    # memory b, whose cells are offset by N
+    r0 = trace.r0.reshape(groups, npe)
+    if trace.op_kind == "mult":
+        reads = np.hstack([r0, trace.r1.reshape(groups, npe) + trace.N])
+        writes = r0
+    else:
+        reads = writes = np.hstack([r0, trace.r1.reshape(groups, npe)])
+    read_extra, read_runs = _port_runs(reads // n)
+    write_extra, write_runs = (
+        (read_extra, read_runs) if writes is reads else _port_runs(writes // n)
+    )
+    cost = 1 + read_extra + write_extra
+    issue = np.cumsum(cost) - cost + setup_cycles  # stall-free issue cycles
+    retire = issue + cost - 1 + delay
+
+    read_cells = reads.ravel()
+    read_group, producer, has_producer = _producers(read_cells, writes, groups)
+    # stalls only delay later groups, so a read can wait only if its
+    # producer retires at or after the read's stall-free issue cycle
+    candidates = np.flatnonzero(has_producer & (retire[producer] >= issue[read_group]))
+
+    walked = groups  # groups issued; fail-fast stops at the first hazard
+    if policy == "fail-fast":
+        conflicted = np.flatnonzero(cost > 1)
+        walked = min(
+            int(read_group[candidates[0]]) if len(candidates) else groups,
+            int(conflicted[0]) if len(conflicted) else groups,
+        )
+        if walked < groups:
+            # nothing stalls before the first hazard, and a group's operands
+            # are checked before its ports: keep the stopping group's RAW
+            # hazards or, if it has none, its port conflicts
+            candidates = candidates[read_group[candidates] == walked]
+            at = -1 if len(candidates) else walked
+            read_runs, write_runs = (
+                tuple(column[runs[0] == at] for column in runs)
+                for runs in (read_runs, write_runs)
+            )
+
+    raw, stalled, shifts = _wait_for_producers(
+        candidates, read_group[candidates], producer[candidates],
+        retire[producer[candidates]], issue,
+    )
+    report.raw_count = len(raw[0])
+    report.read_conflicts = len(read_runs[0])
+    report.write_conflicts = len(write_runs[0])
+    report.per_stage = _per_stage(trace, cost[:walked])
+    if walked < groups:
+        report.consumed_cycles = int(issue[walked]) - setup_cycles
+    else:
+        report.stall_cycles = shifts[-1] if shifts else 0
+        report.consumed_cycles = int(issue[-1] + cost[-1]) + report.stall_cycles - setup_cycles
     report.total_cycles = setup_cycles + report.consumed_cycles + delay
+
+    stall_of = np.zeros(groups, dtype=np.int64)
+    stall_of[stalled] = np.diff(shifts, prepend=0)
+    issue += np.cumsum(stall_of)
+    report.events = _events(read_cells, reads.shape[1], n, issue, raw, read_runs, write_runs)
+    if walked < groups:
+        report.events = report.events[:1]
     return report
+
+
+def _producers(read_cells: np.ndarray, writes: np.ndarray, groups: int):
+    """Issue group of each read, and the group of the last write to the
+    same cell in an earlier group (valid where has_producer)."""
+    per_group = len(read_cells) // groups
+    read_group = np.repeat(np.arange(groups, dtype=np.int64), per_group)
+    written = np.sort(
+        writes.ravel().astype(np.int64) * groups
+        + np.repeat(np.arange(groups, dtype=np.int64), writes.shape[1])
+    )
+    before = np.searchsorted(written, read_cells * np.int64(groups) + read_group) - 1
+    producer_key = written[before]
+    has_producer = (before >= 0) & (producer_key // groups == read_cells)
+    return read_group, producer_key % groups, has_producer
+
+
+def _wait_for_producers(reads, groups, producers, retires, issue):
+    """The only per-group Python: walk the groups holding a candidate read,
+    in order, carrying the stall shift accumulated so far.
+
+    reads, groups, producers and retires give each candidate read's index,
+    issue group, producer group and the producer's stall-free retire
+    cycle. Returns the RAW hazards as (read index, attempt cycle, wait)
+    lists, the groups whose issue stalled and the cumulative shift after
+    each.
+    """
+    raw = ([], [], [])
+    stalled, shifts = [], []
+    shift = 0
+    reads, groups, producers, retires = (
+        column.tolist() for column in (reads, groups, producers, retires)
+    )
+    i = 0
+    while i < len(groups):
+        group = groups[i]
+        attempt = int(issue[group]) + shift
+        ready = attempt
+        while i < len(groups) and groups[i] == group:
+            # a producer issued after k stalled groups retires that much later
+            k = bisect_right(stalled, producers[i])
+            land = retires[i] + (shifts[k - 1] if k else 0)
+            if land >= attempt:
+                raw[0].append(reads[i])
+                raw[1].append(attempt)
+                raw[2].append(land + 1 - attempt)
+                ready = max(ready, land + 1)
+            i += 1
+        if ready > attempt:
+            shift += ready - attempt
+            stalled.append(group)
+            shifts.append(shift)
+    return raw, stalled, shifts
+
+
+def _per_stage(trace: ScheduleTrace, cost: np.ndarray) -> dict:
+    """Issue cycles each stage's groups take, for the groups in cost."""
+    per_stage = {}
+    for stage, rows in trace.stage_slices():
+        first = rows.start // trace.npe
+        if first >= len(cost):
+            break
+        per_stage[stage] = int(cost[first:rows.stop // trace.npe].sum())
+    return per_stage
+
+
+def _events(read_cells, ports, n, issue, raw, read_runs, write_runs) -> List[HazardEvent]:
+    """Merge RAW and port-conflict events into the contract's order: by
+    group; within one, RAW in port order, then read and write conflicts
+    in (array, bank) order."""
+    raw_reads, raw_cycles, raw_waits = (np.asarray(column, dtype=np.int64) for column in raw)
+    cells = read_cells[raw_reads]
+    parts = [(raw_reads // ports, raw_cycles, cells // n, cells % n, raw_waits)]
+    for group, key, extra in (read_runs, write_runs):
+        parts.append((group, issue[group], key % n, np.full(len(group), -1), extra))
+    # rows: kind, group, cycle, bank, addr, extra
+    table = np.concatenate([
+        np.array([np.full(len(part[0]), kind), *part], dtype=np.int64)
+        for kind, part in enumerate(parts)
+    ], axis=1)
+    order = np.argsort(table[1] * len(HAZARD_KINDS) + table[0], kind="stable")
+    kinds, _groups, *fields = table[:, order].tolist()
+    return [
+        HazardEvent(HAZARD_KINDS[kind], *values) for kind, *values in zip(kinds, *fields)
+    ]
 
 
 @dataclass(frozen=True)
@@ -233,6 +361,7 @@ def make_sim_config(
     validate_geometry(n_total, npe)
     if hazard_policy not in ("stall", "fail-fast"):
         raise ValueError(f"unknown hazard policy {hazard_policy!r}")
+    _check_setup(setup_cycles)
     if isinstance(profile, str):
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}; expected {list(PROFILES)}")
@@ -243,6 +372,8 @@ def make_sim_config(
         if q_bits is None:
             raise ValueError("either q_bits or explicit moduli are required")
         moduli = [ntt_modulus(q_bits, n_total, i) for i in range(n_q)]
+    if not moduli:
+        raise ValueError("at least one modulus is required")
     moduli = tuple(m.with_root() for m in moduli)
     return SimConfig(
         N=n_total,
@@ -270,6 +401,7 @@ def predicted_cycles(
     the closed form invalid.
     """
     validate_geometry(n_total, npe)
+    _check_setup(setup_cycles)
     if op == "polymul":
         return sum(
             predicted_cycles(n_total, npe, pipeline, setup_cycles, kind)
@@ -350,23 +482,6 @@ class SimReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _stage_cells(trace: ScheduleTrace):
-    """Per stage, in trace order: the flat cells (bank * n + addr) of each
-    record's r0 and r1 operands, and its twiddle index."""
-    n = trace.n
-    count = sum(map(len, trace.cycles))
-    stage, r0, r1, tw = np.fromiter(
-        chain.from_iterable(
-            (rec.stage, rec.r0[0] * n + rec.r0[1], rec.r1[0] * n + rec.r1[1], rec.tw)
-            for rec in chain.from_iterable(trace.cycles)
-        ),
-        dtype=np.int32,
-        count=4 * count,
-    ).reshape(count, 4).T
-    bounds = np.flatnonzero(np.diff(stage)) + 1
-    return list(zip(*(np.split(column, bounds) for column in (r0, r1, tw))))
-
-
 def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
     """Apply one op's butterflies (or products) stage by stage, in place."""
     if kind == "mult":
@@ -443,7 +558,10 @@ def run(
     for step, kind in enumerate(sequence):
         if trace is None or trace.op_kind != kind:
             trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
-            stages = _stage_cells(trace)
+            stages = [
+                (trace.r0[rows], trace.r1[rows], trace.tw[rows])
+                for _stage, rows in trace.stage_slices()
+            ]
         # chained ops start only after the previous one fully retires
         timing = detect_hazards(
             trace, config.pipeline, config.setup_cycles, config.hazard_policy
@@ -465,7 +583,7 @@ def run(
                 raise SimMismatchError(
                     f"{kind} result mismatch on channel {ch} (q={mod.q})"
                 )
-        butterflies = sum(len(g) for g in trace.cycles)
+        butterflies = len(trace.stage)
         op_reports.append(
             OpReport(
                 op_kind=kind,

@@ -2,6 +2,7 @@
 exit-code categories and byte-level determinism."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -46,6 +47,40 @@ class TestValidation:
             ["predict", "--n", "4096", "--npe", "16", "--profile", "q99"], capsys
         )
         assert code == 1
+
+
+class TestRejectedInput:
+    """Bad values end in exit code 1 and a single line on stderr."""
+
+    @pytest.mark.parametrize("args", [
+        ["predict", "--n", "16", "--npe", "2", "--profile", "ideal", "--setup-cycles", "-50"],
+        ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--setup-cycles", "-5"],
+        ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--nq", "0"],
+        ["ntt", "--n", "16", "--q-bits", "14", "--nq", "0"],
+    ])
+    def test_exit_1_one_line(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("body,found", [
+        ("1\n2\n3\n4\n5\n6\n", 6),  # over-long
+        ("1\n2\n", 2),  # truncated
+    ])
+    def test_poly_file_with_wrong_count(self, tmp_path, capsys, body, found):
+        src = tmp_path / "bad.poly"
+        src.write_text("4 17\n" + body)
+        code, out, err = run_cli(["ntt", "--input", str(src)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: polynomial header says 4 coefficients, the file has {found}\n"
+
+    def test_poly_file_trailing_blank_lines(self, tmp_path, capsys):
+        src = tmp_path / "ok.poly"
+        src.write_text("4 17\n3\n1\n4\n1\n\n\n")
+        code, _out, err = run_cli(["ntt", "--input", str(src)], capsys)
+        assert code == 0 and err == ""
 
 
 class TestPredict:
@@ -132,6 +167,33 @@ class TestScheduleDump:
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
         assert len(rows) == 32
         assert rows[0]["cycle"] == "0"
+
+    # sha256 of the stdout of `nttsim schedule dump`, recorded from the
+    # per-record trace builder before traces became column arrays
+    PINS = {
+        (64, 2, "ntt", "shifted"): "e8e201364e1c51b97b5c569fc739dffd02f209534b4f2a0027fe29a9dd49e1d3",
+        (64, 2, "ntt", "sequential"): "143943c3595638e35f4bfb7fd30e69b3781a83f51f0824ebb0dabfb3a0ca6ef6",
+        (64, 2, "intt", "shifted"): "1c921e86ae0249ad43973b25e8530796ec586a83df3d6a599d538a0873d7746f",
+        (64, 2, "intt", "sequential"): "d6c2fb208ac93b03a6e03ee3159969878bfc375d9c6c2adfa50df6dc135bd16c",
+        (64, 2, "mult", "shifted"): "e3b1019e1542dc1825c6cdabe4d49927c368d6d0b54d0ddd68fa74e0f1337a19",
+        (64, 2, "mult", "sequential"): "b0aa16e41e1d76dfe7b8179fc829fde4d5fa6196f7c251067e70ef1a45cba133",
+        (1024, 8, "ntt", "shifted"): "4af21f31ffa2492f7ca4977bc328205a638558c86e6aa3cdedcf918e98565dbe",
+        (1024, 8, "ntt", "sequential"): "346d10b40d5bf3c06d6380c09764e351cc3cfe6aadebd3f585b4e996513f84e2",
+        (1024, 8, "intt", "shifted"): "342802f205cb99942bcb5f42d35cef5322dc2dcac9c3d702e34ff270269d686a",
+        (1024, 8, "intt", "sequential"): "1eee1b25b4480ea62f36f0f9a7aedc1caa12110abd240f0fb3d90e832f834244",
+        (1024, 8, "mult", "shifted"): "85f3c08b2b43291591af4bcea0a16cb1f7ee0c6d6a0152191b649f53cfdcfffb",
+        (1024, 8, "mult", "sequential"): "d06c0681f841c16e700493434088d7d769612e4aedf79ad94114c80d3ea143c7",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_pinned_dump(self, key, capsys):
+        n_total, npe, op, layout = key
+        code, out, _e = run_cli(
+            ["schedule", "dump", "--n", str(n_total), "--npe", str(npe),
+             "--op", op, "--layout", layout], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[key]
 
 
 class TestSim:

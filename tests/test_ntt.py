@@ -272,6 +272,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             read_polynomial(io.StringIO("4\n1\n2\n3\n4\n"))
 
+    @pytest.mark.parametrize("body,found", [("1\n2\n3\n4\n5\n", 5), ("1\n2\n3\n", 3)])
+    def test_rejects_wrong_coefficient_count(self, body, found):
+        with pytest.raises(ValueError, match=f"says 4 coefficients, the file has {found}"):
+            read_polynomial(io.StringIO("4 17\n" + body))
+
+    def test_allows_trailing_blank_lines(self):
+        assert read_polynomial(io.StringIO("4 17\n3\n1\n4\n1\n\n \n")).to_ints() == [3, 1, 4, 1]
+
 
 class TestPolynomialType:
     def test_rejects_unreduced(self):

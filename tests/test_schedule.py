@@ -8,6 +8,7 @@ import collections
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from nttsim.layout import make_layout
@@ -19,6 +20,8 @@ from nttsim.schedule import (
     export_csv,
     trace_stats,
 )
+
+from reference_schedule import reference_cycles
 
 
 def coefficient_of(trace, cell):
@@ -63,6 +66,36 @@ class TestBuildValidation:
     def test_rejects_unknown_op(self):
         with pytest.raises(ValueError):
             build_schedule(16, 2, "fft")
+
+
+class TestReferenceBuilder:
+    """The column trace equals the per-record reference builder, column
+    by column and Record by Record, for every N <= 4096 and every Npe."""
+
+    @pytest.mark.parametrize("layout", ["shifted", "sequential"])
+    @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
+    @pytest.mark.parametrize("n_total", [16, 64, 256, 1024, 4096])
+    def test_columns_and_records(self, n_total, op, layout):
+        n = 1 << ((n_total.bit_length() - 1) // 2)
+        npe = 1
+        while npe <= n // 2:
+            trace = build_schedule(n_total, npe, op, layout_kind=layout)
+            want = reference_cycles(n_total, npe, op, layout)
+            records = [rec for group in want for rec in group]
+            expected = {
+                "stage": [rec.stage for rec in records],
+                "rnd": [rec.rnd for rec in records],
+                "r0": [rec.r0[0] * n + rec.r0[1] for rec in records],
+                "r1": [rec.r1[0] * n + rec.r1[1] for rec in records],
+                "tw": [rec.tw for rec in records],
+            }
+            for name, values in expected.items():
+                column = getattr(trace, name)
+                assert column.dtype == np.int32, name
+                assert column.tolist() == values, (n_total, npe, op, layout, name)
+            assert trace.issue_cycles == len(want)
+            assert trace.cycles == want
+            npe *= 2
 
 
 class TestPhaseStructure:

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nttsim import cli, sim
 from nttsim.modarith import ntt_modulus
@@ -24,7 +26,13 @@ from nttsim.ntt import (
     schoolbook_negacyclic_array,
 )
 from nttsim.rns import decompose, gen_basis, reconstruct, rns_polymul
-from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, check_raw_bound
+from nttsim.schedule import (
+    PROFILES,
+    PipelineConfig,
+    ScheduleTrace,
+    build_schedule,
+    check_raw_bound,
+)
 from nttsim.sim import (
     SimConfig,
     SimHazardError,
@@ -215,6 +223,63 @@ class TestFailFastFirstEvent:
         assert err.value.event == first[0]
 
 
+@st.composite
+def walk_cases(draw):
+    """A geometry, an op, a layout, a policy, setup cycles and a pipeline
+    whose total delay lies anywhere in 0 ... RAW bound + 8."""
+    n_total = draw(st.sampled_from([16, 64, 256, 1024]))
+    n = 1 << ((n_total.bit_length() - 1) // 2)
+    npe = draw(st.sampled_from([1 << e for e in range((n // 2).bit_length())]))
+    bound = (n // 2) * (n // (2 * npe))
+    total = draw(st.integers(0, bound + 8))
+    read = draw(st.integers(0, total))
+    write = draw(st.integers(0, total - read))
+    pipe = PipelineConfig(read, write, total - read - write, total - read - write)
+    return (
+        n_total, npe, pipe,
+        draw(st.sampled_from(["ntt", "intt", "mult"])),
+        draw(st.sampled_from(["shifted", "sequential"])),
+        draw(st.sampled_from(["stall", "fail-fast"])),
+        draw(st.integers(0, 5)),
+    )
+
+
+class TestWalkProperties:
+    """detect_hazards against the cycle-stepped oracle and the closed form
+    on drawn configurations."""
+
+    @given(walk_cases())
+    @settings(max_examples=150, deadline=None)
+    # N=64, Npe=2: RAW bound 8, so total delay 7 is stall-free and 8 stalls
+    @example((64, 2, PipelineConfig(1, 1, 5, 5), "ntt", "shifted", "stall", 3))
+    @example((64, 2, PipelineConfig(1, 1, 6, 6), "ntt", "shifted", "fail-fast", 3))
+    def test_walk_matches_oracle_and_closed_form(self, case):
+        n_total, npe, pipe, op, layout, policy, setup = case
+        trace = build_schedule(n_total, npe, op, layout_kind=layout)
+        report = detect_hazards(trace, pipe, setup, policy)
+        stalled = detect_hazards(trace, pipe, setup) if policy == "fail-fast" else report
+        # the oracle starts at cycle 0; setup cycles delay every event
+        want = oracle_timing(trace, pipe)
+        events = [(kind, cycle + setup, *rest) for kind, cycle, *rest in want.events]
+        assert stalled.events == events
+        assert stalled.stall_cycles == want.stall_cycles
+        assert stalled.per_stage == want.per_stage
+        assert stalled.total_cycles == want.total_cycles + setup
+        if policy == "fail-fast":
+            assert report.events == events[:1]
+
+        # the bound is the shifted layout's; the sequential layout's port
+        # conflicts stretch issue slots and so move its stall threshold
+        if op != "mult" and layout == "shifted":
+            bound = check_raw_bound(n_total, npe, pipe, op_kind=op)
+            assert (stalled.stall_cycles == 0) == bound.satisfied
+        try:
+            predicted = predicted_cycles(n_total, npe, pipe, setup, op)
+        except ValueError:
+            predicted = None
+        assert (stalled.total_cycles == predicted) == (not stalled.events)
+
+
 class TestMismatchCheck:
     """A trace whose cells or twiddles are wrong must fail the reference
     check, so the replay provably follows the trace's own records."""
@@ -229,13 +294,13 @@ class TestMismatchCheck:
             trace = real(*args, **kwargs)
             if trace.op_kind != op:
                 return trace
-            cycles = [list(group) for group in trace.cycles]
-            first, second = cycles[0][0], cycles[0][1]
+            # the first record's twiddle flipped, or its r1 set to the second record's
+            column = getattr(trace, field).copy()
             if field == "tw":
-                cycles[0][0] = first._replace(tw=0 if first.tw else 1)
+                column[0] = 0 if column[0] else 1
             else:
-                cycles[0][0] = first._replace(r1=second.r1)
-            return dataclasses.replace(trace, cycles=cycles)
+                column[0] = column[1]
+            return dataclasses.replace(trace, **{field: column})
 
         monkeypatch.setattr(sim, "build_schedule", corrupted)
 
@@ -278,6 +343,28 @@ class TestHazardAnalyzers:
         report = detect_hazards(trace, PROFILES["q32"])
         assert report.events == []
         assert report.stall_cycles == 0
+
+    def test_fail_fast_checks_operands_before_ports(self):
+        # group 1 reads cell 0 (bank 0), which group 0 writes, and cells 0
+        # and 1 share bank 0: a RAW hazard and a port conflict in one group
+        def column(*values):
+            return np.array(values, dtype=np.int32)
+
+        trace = ScheduleTrace(
+            "ntt", 16, 4, 2, "shifted",
+            stage=column(0, 0, 0, 0), rnd=column(0, 0, 0, 0),
+            r0=column(0, 8, 0, 5), r1=column(4, 12, 1, 9), tw=column(1, 1, 1, 1),
+        )
+        pipe = PROFILES["q32"]
+        stalled = detect_hazards(trace, pipe)
+        assert [e.kind for e in stalled.events] == ["raw", "read_conflict", "write_conflict"]
+        want = oracle_timing(trace, pipe)
+        assert stalled.events == want.events
+        assert stalled.total_cycles == want.total_cycles
+        first = detect_hazards(trace, pipe, policy="fail-fast")
+        assert first.events == stalled.events[:1]
+        assert (first.raw_count, first.read_conflicts, first.write_conflicts) == (1, 0, 0)
+        assert (first.consumed_cycles, first.per_stage) == (1, {0: 1})
 
     def test_sequential_layout_flags_conflicts(self):
         trace = build_schedule(16, 2, "ntt", layout_kind="sequential")
@@ -395,6 +482,19 @@ class TestConfigValidation:
     def test_rejects_odd_log2(self):
         with pytest.raises(ValueError):
             make_sim_config(2048, 16, q_bits=32)
+
+    def test_rejects_negative_setup(self):
+        with pytest.raises(ValueError, match="setup cycles"):
+            make_sim_config(16, 2, q_bits=14, setup_cycles=-1)
+        with pytest.raises(ValueError, match="setup cycles"):
+            predicted_cycles(16, 2, PROFILES["ideal"], -50, "ntt")
+        with pytest.raises(ValueError, match="setup cycles"):
+            detect_hazards(build_schedule(16, 2, "ntt"), PROFILES["q32"], setup_cycles=-5)
+
+    @pytest.mark.parametrize("kwargs", [{"q_bits": 14, "n_q": 0}, {"moduli": []}])
+    def test_rejects_empty_modulus_list(self, kwargs):
+        with pytest.raises(ValueError, match="at least one modulus"):
+            make_sim_config(16, 2, **kwargs)
 
     def test_modulus_must_support_transform(self):
         mod = ntt_modulus(14, 8)  # q = 1 mod 16 only

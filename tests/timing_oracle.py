@@ -1,7 +1,7 @@
 """Cycle-stepped timing oracle for the simulator's timing contract.
 
-It reads nothing but a ScheduleTrace's records and a PipelineConfig's
-delays, and shares no code with nttsim.sim, so the simulator's single
+It reads nothing but the Record view of a ScheduleTrace (trace.cycles)
+and a PipelineConfig's delays, and shares no code with nttsim.sim, so the simulator's single
 timing walk is checked against a second, differently built model:
 
 - a clock advances one cycle at a time;
