@@ -39,6 +39,7 @@ from nttsim.ntt import (
 from nttsim.rns import RnsBasis, decompose
 from nttsim.schedule import PROFILES, build_schedule, export_csv
 from nttsim.sim import (
+    HAZARD_POLICIES,
     SimHazardError,
     SimMismatchError,
     make_sim_config,
@@ -126,7 +127,7 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delay-pe-ntt", dest="pipeline.delay_pe_ntt", type=int)
     p.add_argument("--delay-pe-mult", dest="pipeline.delay_pe_mult", type=int)
     p.add_argument("--setup-cycles", dest="setup_cycles", type=int)
-    p.add_argument("--policy", choices=["stall", "fail-fast"])
+    p.add_argument("--policy", choices=HAZARD_POLICIES)
     p.add_argument("--layout", choices=["shifted", "sequential"])
     p.add_argument("--seed", type=int, help="input generator seed")
     p.add_argument("--op", choices=["ntt", "intt", "mult", "polymul"])

@@ -8,8 +8,12 @@ Both return the exact residue; the hardware variant is the one the
 simulator's butterfly units execute.
 
 Scalar functions operate on Python ints and are exact for moduli up to
-62 bits. The ``*_batch`` variants are numpy fast paths for moduli up to
-32 bits, used by the bulk transform code and the exhaustive test sweeps.
+62 bits. The array kernels (``*_into``) compute the same formulas
+elementwise into caller-owned buffers, without operand checks, on uint64
+arrays up to 32 bits; the ones the transforms use also run on
+dtype=object arrays of Python ints above (``kernel_dtype``). The checked
+``*_batch`` wrappers take uint64 operands up to 32 bits; the exhaustive
+test sweeps use them.
 """
 
 import math
@@ -319,14 +323,122 @@ def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
 
 
 # ---------------------------------------------------------------------------
-# numpy batch variants (exact for k <= 32)
+# array kernels: *_into cores take reduced operands unchecked and write
+# into caller-owned buffers; *_batch wrappers check, then call a core
+
+
+# Elements per cache block. A block of 2^16 words (512 KiB) plus two
+# scratch buffers of at most the same size stay within a 2 MiB L2, so the
+# ~15 passes of a kernel over a block run from cache, not memory.
+BLOCK_ELEMS = 1 << 16
+
+
+def kernel_dtype(mod: Modulus) -> np.dtype:
+    """uint64 up to 32 bits, where every intermediate fits a word;
+    Python ints (dtype=object) above."""
+    return np.dtype(np.uint64) if mod.k <= 32 else np.dtype(object)
+
+
+def check_reduced(values: np.ndarray, q: int) -> np.ndarray:
+    """values itself, once checked to lie in [0, q)."""
+    if values.size and int(values.max()) >= q:
+        raise ValueError(f"operands not reduced mod {q}")
+    return values
+
+
+def reduce_once_into(x: np.ndarray, q: int, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = x - q where x >= q, else x; exact for 0 <= x < 2q. out may be x."""
+    np.subtract(x, q, out=tmp)
+    if x.dtype == object:
+        out[...] = np.where(x >= q, tmp, x)
+    else:
+        # below q, x - q wraps past 2^64 - q > x, so the minimum selects
+        np.minimum(x, tmp, out=out)
+
+
+def barrett_mul_hw_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = barrett_mul_hw(a, b) elementwise.
+
+    a and b broadcast to out's shape; tmp has out's shape and dtype, and
+    neither buffer may alias an operand.
+    """
+    q, k, m = mod.q, mod.k, mod.m
+    np.multiply(a, b, out=out)  # t1 < 2^2k
+    np.right_shift(out, k - 1, out=tmp)  # t1_high < 2^(k+1)
+    if k < 32 or out.dtype == object:
+        # t1_high * m < 2^(2k+2) fits a word below 32 bits
+        np.multiply(tmp, m, out=tmp)
+        np.right_shift(tmp, k + 1, out=tmp)
+    else:
+        # t2 = (t1_high * m) >> 33 over 16-bit limbs of m, with out as
+        # scratch; t1 is recomputed after
+        np.multiply(tmp, m & _MASK16, out=out)
+        np.right_shift(out, 16, out=out)
+        np.multiply(tmp, m >> 16, out=tmp)
+        np.add(tmp, out, out=tmp)
+        np.right_shift(tmp, k - 15, out=tmp)
+        np.multiply(a, b, out=out)
+    np.multiply(tmp, q, out=tmp)  # t3
+    np.subtract(out, tmp, out=out)  # t4 < 3q
+    reduce_once_into(out, 2 * q, out, tmp)
+    reduce_once_into(out, q, out, tmp)
+
+
+def barrett_mul_soft_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = barrett_mul_soft(a, b) elementwise, on uint64 only; buffers
+    as in barrett_mul_hw_into.
+
+    t2 = (t1 * m) >> 2k is taken over limbs so no partial product leaves
+    64 bits; out serves as scratch and t1 is recomputed after. At 32 bits
+    one more buffer is allocated.
+    """
+    q, k, m = mod.q, mod.k, mod.m
+    np.multiply(a, b, out=out)  # t1 < 2^2k
+    if k <= 15:
+        np.multiply(out, m, out=tmp)
+        np.right_shift(tmp, 2 * k, out=tmp)
+    elif k <= 31:
+        # 32-bit halves of t1: hi * m + ((lo * m) >> 32), then >> (2k - 32)
+        np.right_shift(out, 32, out=tmp)
+        np.multiply(tmp, m, out=tmp)
+        np.bitwise_and(out, _MASK32, out=out)
+        np.multiply(out, m, out=out)
+        np.right_shift(out, 32, out=out)
+        np.add(tmp, out, out=tmp)
+        np.right_shift(tmp, 2 * k - 32, out=tmp)
+        np.multiply(a, b, out=out)
+    else:
+        # 32-bit halves h, l of t1 times 16-bit limbs of m, carried upward
+        m_hi, m_lo = m >> 16, m & _MASK16
+        np.bitwise_and(out, _MASK32, out=tmp)  # l
+        np.right_shift(out, 32, out=out)  # h
+        c = np.multiply(tmp, m_lo)
+        np.right_shift(c, 16, out=c)
+        np.multiply(tmp, m_hi, out=tmp)
+        np.add(tmp, c, out=tmp)  # c1
+        np.right_shift(tmp, 16, out=tmp)
+        np.multiply(out, m_lo, out=c)
+        np.add(tmp, c, out=tmp)  # c2
+        np.right_shift(tmp, 16, out=tmp)
+        np.multiply(out, m_hi, out=c)
+        np.add(tmp, c, out=tmp)  # c3
+        np.right_shift(tmp, 16, out=tmp)
+        np.multiply(a, b, out=out)
+    np.multiply(tmp, q, out=tmp)
+    np.subtract(out, tmp, out=out)  # t4 < 2q
+    reduce_once_into(out, q, out, tmp)
+
+
+def half_mod_into(x: np.ndarray, q: int, tmp: np.ndarray) -> None:
+    """x = half_mod(x, q) elementwise, in place; q odd, x reduced."""
+    np.bitwise_and(x, 1, out=tmp)
+    np.multiply(tmp, (q + 1) >> 1, out=tmp)
+    np.right_shift(x, 1, out=x)
+    np.add(x, tmp, out=x)
 
 
 def _as_residues(a, q: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.uint64)
-    if arr.size and int(arr.max()) >= q:
-        raise ValueError(f"batch operands not reduced mod {q}")
-    return arr
+    return check_reduced(np.asarray(a, dtype=np.uint64), q)
 
 
 def _require_batchable(mod: Modulus) -> None:
@@ -334,54 +446,38 @@ def _require_batchable(mod: Modulus) -> None:
         raise ValueError("batch kernels support moduli up to 32 bits")
 
 
-def _t2_soft_batch(t1: np.ndarray, mod: Modulus) -> np.ndarray:
-    """(t1 * m) >> 2k without leaving uint64, by limb decomposition."""
-    k, m = mod.k, mod.m
-    if k <= 15:
-        return (t1 * m) >> (2 * k)
-    if k <= 31:
-        hm = (t1 >> 32) * m
-        lm = (t1 & _MASK32) * m
-        return (hm + (lm >> 32)) >> (2 * k - 32)
-    m_hi, m_lo = m >> 16, m & _MASK16
-    h, l = t1 >> 32, t1 & _MASK32
-    c1 = l * m_hi + ((l * m_lo) >> 16)
-    c2 = h * m_lo + (c1 >> 16)
-    c3 = h * m_hi + (c2 >> 16)
-    return c3 >> 16
+def mul_blocks(core, a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
+    """core(a, b) elementwise over reduced uint64 arrays, one cache block
+    at a time, in the kernel dtype; the result is uint64."""
+    a, b = np.broadcast_arrays(a, b)
+    dtype = kernel_dtype(mod)
+    out = np.empty(a.shape, dtype)
+    flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
+    tmp = np.empty(min(out.size, BLOCK_ELEMS), dtype)
+    for start in range(0, out.size, BLOCK_ELEMS):
+        block = slice(start, start + BLOCK_ELEMS)
+        x = flat_a[block].astype(dtype, copy=False)
+        y = flat_b[block].astype(dtype, copy=False)
+        core(x, y, mod, flat_out[block], tmp[:len(x)])
+    return out.astype(np.uint64, copy=False)
 
 
 def barrett_mul_soft_batch(a, b, mod: Modulus) -> np.ndarray:
     """Elementwise barrett_mul_soft over uint64 arrays."""
     _require_batchable(mod)
-    a = _as_residues(a, mod.q)
-    b = _as_residues(b, mod.q)
-    t1 = a * b
-    t4 = t1 - _t2_soft_batch(t1, mod) * mod.q
-    return np.where(t4 >= mod.q, t4 - mod.q, t4)
+    return mul_blocks(barrett_mul_soft_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
 
 
 def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
     """Elementwise barrett_mul_hw over uint64 arrays."""
     _require_batchable(mod)
-    a = _as_residues(a, mod.q)
-    b = _as_residues(b, mod.q)
-    q, k, m = mod.q, mod.k, mod.m
-    t1 = a * b
-    t1_high = t1 >> (k - 1)
-    if k <= 15:
-        t2 = (t1_high * m) >> (k + 1)
-    else:
-        c = t1_high * (m >> 16) + ((t1_high * (m & _MASK16)) >> 16)
-        t2 = c >> (k - 15)
-    t4 = t1 - t2 * q
-    t4 = np.where(t4 >= 2 * q, t4 - 2 * q, t4)
-    return np.where(t4 >= q, t4 - q, t4)
+    return mul_blocks(barrett_mul_hw_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
 
 
 def half_mod_batch(x, q: int) -> np.ndarray:
     """Elementwise half_mod over uint64 arrays."""
     if q % 2 == 0:
         raise ValueError("half_mod requires an odd modulus")
-    x = np.asarray(x, dtype=np.uint64)
-    return (x >> 1) + np.where(x & 1, (q + 1) >> 1, 0).astype(np.uint64)
+    out = np.array(x, dtype=np.uint64)
+    half_mod_into(out, q, np.empty_like(out))
+    return out

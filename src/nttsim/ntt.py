@@ -10,9 +10,13 @@ Z_q[x]/(x^N + 1) is built into the tables.
 The inverse butterfly halves both legs at every stage, which replaces the
 usual final multiplication by N^-1.
 
-Array functions accept stacks of polynomials (shape (..., N)). Every
-stage runs the same per-stage butterfly kernels: numpy batch kernels for
-moduli up to 32 bits, the scalar Barrett kernel on Python ints above.
+Array functions accept stacks of polynomials (shape (..., N)) and check
+once, on entry, that every value is reduced; inside the stage loop values
+stay reduced by construction. The batch is cut into row blocks of at
+most 2^16 values that stay in cache through all stages. Every stage runs
+the in-place butterfly kernels ct_stage/gs_stage, which the simulator's
+replay shares: on uint64 rows up to 32 bits, on rows of Python ints
+(converted once per block) above, through the same Barrett core.
 """
 
 from dataclasses import dataclass
@@ -21,11 +25,15 @@ from typing import IO, List, Sequence
 import numpy as np
 
 from nttsim.modarith import (
+    BLOCK_ELEMS,
     Modulus,
-    barrett_mul_hw,
-    barrett_mul_hw_batch,
-    half_mod_batch,
+    barrett_mul_hw_into,
+    check_reduced,
+    half_mod_into,
+    kernel_dtype,
     mod_pow,
+    mul_blocks,
+    reduce_once_into,
 )
 
 
@@ -118,94 +126,102 @@ def cached_twiddles(mod: Modulus, n: int) -> TwiddleTable:
 # per-stage butterfly kernels (shared with the simulator's replay)
 
 
-def _add_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    s = a + b
-    return np.where(s >= q, s - q, s)
+def ct_stage(u, v, w, mod: Modulus, s1, s2) -> None:
+    """Cooley-Tukey butterflies, in place: (u, v) <- (u + w*v, u - w*v) mod q.
 
-
-def _sub_mod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    s = a + np.uint64(q) - b
-    return np.where(s >= q, s - q, s)
-
-
-def _mul_mod(a, b, mod: Modulus) -> np.ndarray:
-    """Elementwise barrett_mul_hw over broadcast uint64 arrays.
-
-    Moduli up to 32 bits run the numpy batch kernel; wider ones run the
-    scalar kernel on Python ints, which is exact up to 62 bits.
+    u, v and the scratch buffers s1, s2 share one shape and the kernel
+    dtype; w broadcasts to it. Operands must be reduced.
     """
-    if mod.k > 32:
-        wide = np.frompyfunc(lambda x, y: barrett_mul_hw(x, y, mod), 2, 1)
-        return wide(a, b).astype(np.uint64)
-    return barrett_mul_hw_batch(a, b, mod)
-
-
-def ct_stage(u, v, w, mod: Modulus):
-    """Cooley-Tukey butterflies, elementwise: (u + w*v, u - w*v) mod q."""
-    t = _mul_mod(v, w, mod)
-    return _add_mod(u, t, mod.q), _sub_mod(u, t, mod.q)
-
-
-def gs_stage(u, v, w_inv, mod: Modulus):
-    """Gentleman-Sande butterflies, elementwise:
-    ((u + v)/2, w_inv*(u - v)/2) mod q, halving via the shift-add form."""
     q = mod.q
-    lo = half_mod_batch(_mul_mod(_sub_mod(u, v, q), w_inv, mod), q)
-    return half_mod_batch(_add_mod(u, v, q), q), lo
+    barrett_mul_hw_into(v, w, mod, s1, s2)  # t = w*v
+    np.subtract(q, s1, out=s2)
+    np.add(s2, u, out=s2)  # u - t + q < 2q
+    np.add(u, s1, out=u)  # u + t < 2q
+    reduce_once_into(s2, q, v, s1)
+    reduce_once_into(u, q, u, s1)
+
+
+def gs_stage(u, v, w_inv, mod: Modulus, s1, s2) -> None:
+    """Gentleman-Sande butterflies, in place:
+    (u, v) <- ((u + v)/2, w_inv*(u - v)/2) mod q, halving via the shift-add
+    form. Buffers and operands as in ct_stage."""
+    # u and v are strided views, slow to stream when groups are short, so
+    # most passes run on the contiguous scratch
+    q = mod.q
+    np.add(u, v, out=s1)
+    reduce_once_into(s1, q, s1, s2)
+    half_mod_into(s1, q, s2)
+    np.subtract(q, v, out=s2)
+    np.add(s2, u, out=s2)  # u - v + q < 2q
+    u[...] = s1
+    reduce_once_into(s2, q, v, s1)
+    barrett_mul_hw_into(v, w_inv, mod, s1, s2)
+    half_mod_into(s1, q, s2)
+    v[...] = s1
 
 
 # ---------------------------------------------------------------------------
 # array transforms
 
 
-def _check_lengths(values: np.ndarray, tw: TwiddleTable) -> int:
-    n = values.shape[-1]
+def _reduced_copy(values, tw: TwiddleTable) -> np.ndarray:
+    """A uint64 copy of values, checked for length N and reduced entries."""
+    out = np.array(values, dtype=np.uint64, copy=True)
+    n = out.shape[-1] if out.ndim else 0
     if n != tw.n:
         raise ValueError(f"polynomial length {n} does not match table N={tw.n}")
-    return n
+    return check_reduced(out, tw.mod.q)
+
+
+def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> None:
+    """Apply butterfly stages in place to x, shape (rows, N), by row blocks.
+
+    groups holds each stage's butterfly-group count g: the stage pairs
+    halves 0 and 1 of the (g, 2, N/2g) view of every row, with twiddle
+    table[g + j] for group j. Above 32 bits each block runs on Python
+    ints and is converted back at its end.
+    """
+    rows, n = x.shape
+    dtype = kernel_dtype(tw.mod)
+    table = table.astype(dtype, copy=False)
+    step = max(1, BLOCK_ELEMS // n)  # rows per cache block
+    scratch = np.empty((2, min(rows, step) * n // 2), dtype)
+    for start in range(0, rows, step):
+        view = x[start:start + step]
+        work = view.astype(dtype, copy=False)
+        r = len(work)
+        s1, s2 = scratch[:, :r * n // 2]
+        for g in groups:
+            pairs = work.reshape(r, g, 2, n // (2 * g))
+            shape = pairs.shape[:2] + pairs.shape[3:]
+            butterfly(pairs[:, :, 0], pairs[:, :, 1], table[g:2 * g, None], tw.mod,
+                      s1.reshape(shape), s2.reshape(shape))
+        if work is not view:
+            view[...] = work
 
 
 def ntt_ct_array(values, tw: TwiddleTable) -> np.ndarray:
     """Forward transform over the last axis; natural in, bit-reversed out."""
-    out = np.array(values, dtype=np.uint64, copy=True)
-    n = _check_lengths(out, tw)
-    batch = out.shape[:-1]
-    m, t = 1, n
-    while m < n:
-        t //= 2
-        view = out.reshape(batch + (m, 2, t))
-        stage_tw = tw.forward[m:2 * m].reshape((m, 1))
-        view[..., 0, :], view[..., 1, :] = ct_stage(
-            view[..., 0, :], view[..., 1, :], stage_tw, tw.mod
-        )
-        m *= 2
+    out = _reduced_copy(values, tw)
+    groups = [1 << s for s in range(tw.n.bit_length() - 1)]
+    _run_stages(out.reshape(-1, tw.n), tw, ct_stage, tw.forward, groups)
     return out
 
 
 def intt_gs_array(values, tw: TwiddleTable) -> np.ndarray:
     """Inverse transform over the last axis; bit-reversed in, natural out."""
-    out = np.array(values, dtype=np.uint64, copy=True)
-    n = _check_lengths(out, tw)
-    batch = out.shape[:-1]
-    t, m = 1, n
-    while m > 1:
-        h = m // 2
-        view = out.reshape(batch + (h, 2, t))
-        stage_tw = tw.inverse[h:2 * h].reshape((h, 1))
-        view[..., 0, :], view[..., 1, :] = gs_stage(
-            view[..., 0, :], view[..., 1, :], stage_tw, tw.mod
-        )
-        t *= 2
-        m = h
+    out = _reduced_copy(values, tw)
+    groups = [1 << s for s in reversed(range(tw.n.bit_length() - 1))]
+    _run_stages(out.reshape(-1, tw.n), tw, gs_stage, tw.inverse, groups)
     return out
 
 
 def pointwise_mul_array(a, b, mod: Modulus) -> np.ndarray:
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
+    a = check_reduced(np.asarray(a, dtype=np.uint64), mod.q)
+    b = check_reduced(np.asarray(b, dtype=np.uint64), mod.q)
     if a.shape != b.shape:
         raise ValueError("pointwise operands must have equal shapes")
-    return _mul_mod(a, b, mod)
+    return mul_blocks(barrett_mul_hw_into, a, b, mod)
 
 
 def polymul_ntt_array(a, b, tw: TwiddleTable) -> np.ndarray:
@@ -255,7 +271,8 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
     for shift in range(1, n):
         rotated = doubled[..., n - shift:2 * n - shift]
         term = (rotated * b[..., shift:shift + 1]) % q64
-        acc = _add_mod(acc, term, q)
+        np.add(acc, term, out=acc)
+        reduce_once_into(acc, q, acc, term)
     return acc
 
 

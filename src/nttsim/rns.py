@@ -13,8 +13,10 @@ scope.
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from nttsim.modarith import Modulus, barrett_precompute, ntt_modulus
-from nttsim.ntt import Polynomial, polymul_ntt
+from nttsim.ntt import Polynomial, _check_power_of_two, polymul_ntt
 
 
 @dataclass(frozen=True)
@@ -79,26 +81,23 @@ def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
 
 def decompose(coeffs: Sequence[int], basis: RnsBasis) -> RnsPolynomial:
     """Split coefficients in [0, Q) into per-modulus residue polynomials."""
-    values = [int(c) for c in coeffs]
-    for c in values:
-        if not 0 <= c < basis.big_q:
-            raise ValueError(f"coefficient {c} outside [0, Q={basis.big_q})")
+    values = np.array([int(c) for c in coeffs], dtype=object)
+    _check_power_of_two(len(values))
+    bad = values[(values < 0) | (values >= basis.big_q)]
+    if bad.size:
+        raise ValueError(f"coefficient {bad[0]} outside [0, Q={basis.big_q})")
     polys = tuple(
-        Polynomial.from_ints([c % mod.q for c in values], mod)
-        for mod in basis.moduli
+        Polynomial((values % mod.q).astype(np.uint64), mod) for mod in basis.moduli
     )
     return RnsPolynomial(polys, basis)
 
 
 def reconstruct(rns_poly: RnsPolynomial, basis: RnsBasis) -> List[int]:
     """Gauss CRT: sum_i x_i * (Q/q_i) * inv_i mod Q, per coefficient."""
-    n = rns_poly.n
-    out = [0] * n
+    acc = 0
     for poly, (w, inv) in zip(rns_poly.residue_polys, basis.crt_weights):
-        scale = w * inv
-        for j, x in enumerate(poly.to_ints()):
-            out[j] += x * scale
-    return [v % basis.big_q for v in out]
+        acc = acc + poly.coeffs.astype(object) * (w * inv)
+    return (acc % basis.big_q).tolist()
 
 
 def rns_polymul(

@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from nttsim.layout import make_layout
-from nttsim.modarith import Modulus, ntt_modulus
+from nttsim.modarith import Modulus, check_reduced, kernel_dtype, ntt_modulus
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -124,11 +124,17 @@ class HazardReport:
 
 
 HAZARD_KINDS = ("raw", "read_conflict", "write_conflict")
+HAZARD_POLICIES = ("stall", "fail-fast")
 
 
 def _check_setup(setup_cycles: int) -> None:
     if setup_cycles < 0:
         raise ValueError(f"setup cycles must be nonnegative, got {setup_cycles}")
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in HAZARD_POLICIES:
+        raise ValueError(f"unknown hazard policy {policy!r}; expected one of {HAZARD_POLICIES}")
 
 
 def _port_runs(keys: np.ndarray):
@@ -161,6 +167,7 @@ def detect_hazards(
     Under fail-fast the walk stops at the first hazard and reports only
     that event.
     """
+    _check_policy(policy)
     _check_setup(setup_cycles)
     delay = pipeline.total_delay(trace.op_kind)
     n, npe, groups = trace.n, trace.npe, trace.issue_cycles
@@ -359,8 +366,7 @@ def make_sim_config(
     layout_kind: str = "shifted",
 ) -> SimConfig:
     validate_geometry(n_total, npe)
-    if hazard_policy not in ("stall", "fail-fast"):
-        raise ValueError(f"unknown hazard policy {hazard_policy!r}")
+    _check_policy(hazard_policy)
     _check_setup(setup_cycles)
     if isinstance(profile, str):
         if profile not in PROFILES:
@@ -490,8 +496,17 @@ def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
         return
     tw = cached_twiddles(mod, len(mem))
     table, butterfly = (tw.forward, ct_stage) if kind == "ntt" else (tw.inverse, gs_stage)
+    # above 32 bits the kernels run on Python ints
+    dtype = kernel_dtype(mod)
+    work = mem.astype(dtype, copy=False)
+    table = table.astype(dtype, copy=False)
+    scratch = np.empty((2, len(mem) // 2), dtype)
     for r0, r1, w in stages:
-        mem[r0], mem[r1] = butterfly(mem[r0], mem[r1], table[w], mod)
+        u, v = work[r0], work[r1]
+        butterfly(u, v, table[w], mod, *scratch[:, :len(r0)])
+        work[r0], work[r1] = u, v
+    if work is not mem:
+        mem[...] = work
 
 
 def _reference(op_kind, mod, a_coeffs, b_coeffs):
@@ -521,7 +536,8 @@ def _channels(value, moduli, n_total, what):
             raise ValueError(f"{what} channel modulus {poly.mod.q} != config {mod.q}")
         if poly.n != n_total:
             raise ValueError(f"{what} length {poly.n} != configured N {n_total}")
-    return [np.asarray(poly.coeffs, dtype=np.uint64) for poly in polys]
+    # the replay's kernels take reduced operands unchecked
+    return [check_reduced(np.asarray(p.coeffs, dtype=np.uint64), p.mod.q) for p in polys]
 
 
 def run(

@@ -21,6 +21,7 @@ from nttsim.ntt import (
     ntt_ct_array,
     pointwise_mul,
     polymul_ntt,
+    polymul_ntt_array,
     read_polynomial,
     schoolbook_negacyclic,
     write_polynomial,
@@ -162,6 +163,73 @@ class TestInverseTransform:
         natural = naive_negacyclic_ntt(batch[1].tolist(), tw.psi, mod.q)
         assert forward[1].tolist() == [natural[bit_reverse(r, bits_n)] for r in range(n)]
         np.testing.assert_array_equal(intt_gs_array(forward, tw), batch)
+
+
+class TestBlockedBatches:
+    """Batches run in row blocks of ntt.BLOCK_ELEMS values; every shape must
+    give the row-by-row result."""
+
+    # at N=2048 a block holds 32 rows, so 37 rows leave a partial block
+    @pytest.mark.parametrize("shape", [(37, 2048), (3, 2, 1024)])
+    @pytest.mark.parametrize("bits", [14, 32, 40, 62])
+    def test_matches_row_by_row(self, monkeypatch, bits, shape):
+        if bits > 32:
+            # Python-int rows are slow: shrink the block and N alike, which
+            # keeps the rows per block and the partial last block
+            monkeypatch.setattr(ntt, "BLOCK_ELEMS", ntt.BLOCK_ELEMS >> 4)
+            shape = shape[:-1] + (shape[-1] >> 4,)
+        n = shape[-1]
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        gen = np.random.default_rng(bits)
+        a = gen.integers(0, mod.q, size=shape, dtype=np.uint64)
+        b = gen.integers(0, mod.q, size=shape, dtype=np.uint64)
+        for fn in (
+            lambda x, y: ntt_ct_array(x, tw),
+            lambda x, y: intt_gs_array(x, tw),
+            lambda x, y: polymul_ntt_array(x, y, tw),
+        ):
+            stacked = fn(a, b)
+            assert stacked.shape == shape
+            rows = [fn(x, y) for x, y in zip(a.reshape(-1, n), b.reshape(-1, n))]
+            np.testing.assert_array_equal(stacked.reshape(-1, n), np.array(rows))
+
+
+class TestEntryChecks:
+    """Array entry points check once that every input value is reduced;
+    their stage loops take reduced values unchecked."""
+
+    @staticmethod
+    def unreduced(q, n, case):
+        x = np.zeros(n, dtype=np.uint64)
+        if case == "q+3 first":
+            x[0] = q + 3  # first-half values never reached a checked kernel
+        elif case == "2q first":
+            x[0] = 2 * q
+        else:
+            x[-1] = q
+        return x
+
+    @pytest.mark.parametrize("case", ["q+3 first", "2q first", "q last"])
+    @pytest.mark.parametrize("bits", [14, 40])
+    @pytest.mark.parametrize("fn", ["ntt", "intt", "pointwise", "polymul"])
+    def test_unreduced_input_rejected(self, fn, bits, case):
+        n = 8
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        bad = self.unreduced(mod.q, n, case)
+        zero = np.zeros(n, dtype=np.uint64)
+        calls = {
+            "ntt": [lambda: ntt_ct_array(bad, tw)],
+            "intt": [lambda: intt_gs_array(bad, tw)],
+            "pointwise": [lambda: ntt.pointwise_mul_array(bad, zero, mod),
+                          lambda: ntt.pointwise_mul_array(zero, bad, mod)],
+            "polymul": [lambda: polymul_ntt_array(bad, zero, tw),
+                        lambda: polymul_ntt_array(zero, bad, tw)],
+        }[fn]
+        for call in calls:
+            with pytest.raises(ValueError, match="not reduced"):
+                call()
 
 
 class TestPointwise:

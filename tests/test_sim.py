@@ -491,6 +491,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="setup cycles"):
             detect_hazards(build_schedule(16, 2, "ntt"), PROFILES["q32"], setup_cycles=-5)
 
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown hazard policy"):
+            make_sim_config(16, 2, q_bits=14, hazard_policy="failfast")
+        with pytest.raises(ValueError, match="unknown hazard policy"):
+            detect_hazards(build_schedule(16, 2, "ntt", "sequential"), PROFILES["q32"], policy="failfast")
+
+    def test_rejects_unreduced_operand(self):
+        cfg = make_sim_config(16, 2, q_bits=14)
+        mod = cfg.moduli[0]
+        a = Polynomial(np.array([mod.q + 3] + [0] * 15, dtype=np.uint64), mod)
+        with pytest.raises(ValueError, match="not reduced"):
+            run(cfg, a, op="ntt")
+
     @pytest.mark.parametrize("kwargs", [{"q_bits": 14, "n_q": 0}, {"moduli": []}])
     def test_rejects_empty_modulus_list(self, kwargs):
         with pytest.raises(ValueError, match="at least one modulus"):
