@@ -6,8 +6,8 @@ sim (cycle-accurate replay), schedule dump (trace CSV), layout-check
 
 Options may come from a flat key=value config file (one nesting level
 for the pipeline profile, e.g. ``pipeline.delay_read``); command-line
-flags override file values. Identical config and seed produce
-byte-identical output.
+flags override file values, and both are checked alike. Identical
+config and seed produce byte-identical output.
 
 Random inputs come from a splitmix64 stream (64-bit state; increment
 0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9 and
@@ -15,17 +15,17 @@ Random inputs come from a splitmix64 stream (64-bit state; increment
 the operands from the seed alone. For two-operand commands the second
 polynomial continues the same stream.
 
-Exit codes: 0 success, 1 validation error, 2 hazard under the fail-fast
-policy, 3 simulator-versus-reference mismatch.
+Exit codes: 0 success, 1 validation or usage error, 2 hazard under the
+fail-fast policy, 3 simulator-versus-reference mismatch.
 """
 
 import argparse
 import io
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterator, List, Optional
 
-from nttsim.layout import verify_conflict_free
+from nttsim.layout import KINDS, verify_conflict_free
 from nttsim.modarith import Modulus, barrett_precompute, ntt_modulus
 from nttsim.ntt import (
     Polynomial,
@@ -37,9 +37,10 @@ from nttsim.ntt import (
     write_polynomial,
 )
 from nttsim.rns import RnsBasis, decompose
-from nttsim.schedule import PROFILES, build_schedule, export_csv
+from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, export_csv
 from nttsim.sim import (
     HAZARD_POLICIES,
+    OPS,
     SimHazardError,
     SimMismatchError,
     make_sim_config,
@@ -69,108 +70,11 @@ def random_polynomial(
     return Polynomial.from_ints([next(stream) % mod.q for _ in range(n)], mod)
 
 
-COMMANDS = ("ntt", "intt", "polymul", "sim", "schedule", "layout-check", "predict")
-
-# every option a config file may set, with its parsed type
-CONFIG_KEYS = {
-    "command": str,
-    "n": int,
-    "npe": int,
-    "q": str,
-    "q_bits": int,
-    "nq": int,
-    "profile": str,
-    "pipeline.delay_read": int,
-    "pipeline.delay_write": int,
-    "pipeline.delay_pe_ntt": int,
-    "pipeline.delay_pe_mult": int,
-    "setup_cycles": int,
-    "policy": str,
-    "layout": str,
-    "seed": int,
-    "op": str,
-    "input": str,
-    "input_b": str,
-    "output": str,
-    "format": str,
-}
-
-
-def parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in CONFIG_KEYS:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown key {key!r}"
-                )
-            values[key] = CONFIG_KEYS[key](val)
-    return values
-
-
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="polynomial degree (power of two)")
-    p.add_argument("--npe", type=int, help="number of butterfly units")
-    p.add_argument("--q", type=str, help="explicit prime modulus (comma list for RNS)")
-    p.add_argument("--q-bits", dest="q_bits", type=int, help="modulus bit width")
-    p.add_argument("--nq", type=int, help="number of RNS moduli")
-    p.add_argument("--profile", type=str, help="pipeline profile: q32, q14 or ideal")
-    p.add_argument("--delay-read", dest="pipeline.delay_read", type=int)
-    p.add_argument("--delay-write", dest="pipeline.delay_write", type=int)
-    p.add_argument("--delay-pe-ntt", dest="pipeline.delay_pe_ntt", type=int)
-    p.add_argument("--delay-pe-mult", dest="pipeline.delay_pe_mult", type=int)
-    p.add_argument("--setup-cycles", dest="setup_cycles", type=int)
-    p.add_argument("--policy", choices=HAZARD_POLICIES)
-    p.add_argument("--layout", choices=["shifted", "sequential"])
-    p.add_argument("--seed", type=int, help="input generator seed")
-    p.add_argument("--op", choices=["ntt", "intt", "mult", "polymul"])
-    p.add_argument("--input", type=str, help="input polynomial file")
-    p.add_argument("--input-b", dest="input_b", type=str, help="second operand file")
-    p.add_argument("--output", type=str, help="output file (default stdout)")
-    p.add_argument("--format", choices=["json", "text"], help="report format")
-
-
-DEFAULTS = {
-    "nq": 1,
-    "seed": 0,
-    "op": "ntt",
-    "policy": "stall",
-    "layout": "shifted",
-    "format": "json",
-    "setup_cycles": 0,
-    "profile": "q32",
-}
-
-
 class Options(dict):
     """Resolved option bag: flags override config, config overrides defaults."""
 
     def __getattr__(self, key):
         return self[key]
-
-
-def _resolve(args: argparse.Namespace, config: dict) -> Options:
-    opts = Options()
-    for key in CONFIG_KEYS:
-        flag_val = getattr(args, key, None)
-        opts[key] = flag_val if flag_val is not None else config.get(key)
-    for key, default in DEFAULTS.items():
-        if opts[key] is None:
-            opts[key] = default
-    if args.command is not None:
-        opts["command"] = args.command
-    if opts["command"] is None:
-        raise ValueError("no command given on the command line or in the config")
-    if opts["command"] not in COMMANDS:
-        raise ValueError(f"unknown command {opts['command']!r}")
-    return opts
 
 
 def _pipeline(opts: Options):
@@ -179,9 +83,9 @@ def _pipeline(opts: Options):
         raise ValueError(f"unknown profile {name!r}; expected {list(PROFILES)}")
     pipe = PROFILES[name]
     overrides = {
-        field: opts[f"pipeline.{field}"]
-        for field in ("delay_read", "delay_write", "delay_pe_ntt", "delay_pe_mult")
-        if opts[f"pipeline.{field}"] is not None
+        f.name: opts[f"pipeline.{f.name}"]
+        for f in fields(PipelineConfig)
+        if opts[f"pipeline.{f.name}"] is not None
     }
     if overrides:
         return replace(pipe, **overrides), "custom"
@@ -339,8 +243,82 @@ _HANDLERS = {
 }
 
 
+COMMANDS = tuple(_HANDLERS)
+
+# key: (type, choices, default, help) for every option. A config file may
+# set any key; each but command, which the subcommand sets, is also the
+# flag --<last dotted part, with - for _>. Flags and file values are
+# parsed and checked alike by _parse.
+OPTIONS = {
+    "command": (str, COMMANDS, None, None),
+    "n": (int, None, None, "polynomial degree (power of two)"),
+    "npe": (int, None, None, "number of butterfly units"),
+    "q": (str, None, None, "explicit prime modulus (comma list for RNS)"),
+    "q_bits": (int, None, None, "modulus bit width"),
+    "nq": (int, None, 1, "number of RNS moduli"),
+    "profile": (str, None, "q32", "pipeline profile: q32, q14 or ideal"),
+    **{f"pipeline.{f.name}": (int, None, None, None) for f in fields(PipelineConfig)},
+    "setup_cycles": (int, None, 0, None),
+    "policy": (str, HAZARD_POLICIES, "stall", None),
+    "layout": (str, KINDS, "shifted", None),
+    "seed": (int, None, 0, "input generator seed"),
+    "op": (str, OPS, "ntt", None),
+    "input": (str, None, None, "input polynomial file"),
+    "input_b": (str, None, None, "second operand file"),
+    "output": (str, None, None, "output file (default stdout)"),
+    "format": (str, ("json", "text"), "json", "report format"),
+}
+
+
+def _parse(key: str, raw: str):
+    if key not in OPTIONS:
+        raise ValueError(f"unknown key {key!r}")
+    kind, choices, _default, _help = OPTIONS[key]
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"{key}: invalid {kind.__name__} value {raw!r}") from None
+    if choices is not None and value not in choices:
+        raise ValueError(f"{key}: invalid choice {raw!r} (choose from {', '.join(choices)})")
+    return value
+
+
+def parse_config_file(path: str) -> dict:
+    values = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, val = line.partition("=")
+            try:
+                values[key.strip()] = _parse(key.strip(), val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return values
+
+
+def _resolve(args: argparse.Namespace, config: dict) -> Options:
+    opts = Options()
+    for key, (_kind, _choices, default, _help) in OPTIONS.items():
+        flag_val = getattr(args, key, None)
+        opts[key] = config.get(key, default) if flag_val is None else _parse(key, flag_val)
+    if opts.command is None:
+        raise ValueError("no command given on the command line or in the config")
+    return opts
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other validation error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nttsim",
         description="negacyclic NTT tools and accelerator simulation",
     )
@@ -350,14 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if name == "schedule":
             p.add_argument("action", nargs="?", default="dump", choices=["dump"])
-        _add_common_options(p)
+        for key, (_kind, choices, _default, help_text) in OPTIONS.items():
+            if key != "command":
+                p.add_argument(
+                    "--" + key.rpartition(".")[2].replace("_", "-"),
+                    dest=key,
+                    # _parse checks the choices; show them as argparse would
+                    metavar=None if choices is None else "{" + ",".join(choices) + "}",
+                    help=help_text,
+                )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = parse_config_file(args.config) if args.config else {}
         opts = _resolve(args, config)
         return _HANDLERS[opts.command](opts)

@@ -473,11 +473,3 @@ def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
     _require_batchable(mod)
     return mul_blocks(barrett_mul_hw_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
 
-
-def half_mod_batch(x, q: int) -> np.ndarray:
-    """Elementwise half_mod over uint64 arrays."""
-    if q % 2 == 0:
-        raise ValueError("half_mod requires an odd modulus")
-    out = np.array(x, dtype=np.uint64)
-    half_mod_into(out, q, np.empty_like(out))
-    return out

@@ -238,7 +238,7 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
     The double loop is vectorized over one axis: the slice of [-a | a]
     at offset n-shift is x^shift * a with the wrapped part already
     negated. Reduction is deferred as far as uint64 headroom allows;
-    moduli above 32 bits take an exact big-int path.
+    above 32 bits the reduce-every-shift loop runs on Python ints.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -246,9 +246,9 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
         raise ValueError("operands must have equal shapes")
     n = a.shape[-1]
     q = mod.q
-    if mod.k > 32:
-        return _schoolbook_bigint(a, b, mod)
-    q64 = np.uint64(q)
+    dtype = kernel_dtype(mod)
+    a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
+    q64 = dtype.type(q)
     neg_a = np.where(a == 0, a, q64 - a)
     doubled = np.concatenate([neg_a, a], axis=-1)
     if n * q * q < 1 << 63:
@@ -257,7 +257,7 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
         for shift in range(1, n):
             acc = acc + doubled[..., n - shift:2 * n - shift] * b[..., shift:shift + 1]
         return acc % q64
-    if (n * q) << 16 < 1 << 63:
+    if mod.k <= 32 and (n * q) << 16 < 1 << 63:
         # 16-bit limbs of b keep both accumulators below 2^63
         b_hi, b_lo = b >> 16, b & np.uint64(0xFFFF)
         acc_hi = a * b_hi[..., 0:1]
@@ -273,27 +273,7 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
         term = (rotated * b[..., shift:shift + 1]) % q64
         np.add(acc, term, out=acc)
         reduce_once_into(acc, q, acc, term)
-    return acc
-
-
-def _schoolbook_bigint(a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
-    q = mod.q
-    n = a.shape[-1]
-    flat_a = a.reshape(-1, n)
-    flat_b = b.reshape(-1, n)
-    rows = []
-    for ra, rb in zip(flat_a, flat_b):
-        acc = [0] * n
-        xs, ys = [int(v) for v in ra], [int(v) for v in rb]
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                k = i + j
-                if k < n:
-                    acc[k] = (acc[k] + x * y) % q
-                else:
-                    acc[k - n] = (acc[k - n] - x * y) % q
-        rows.append(acc)
-    return np.array(rows, dtype=np.uint64).reshape(a.shape)
+    return acc.astype(np.uint64, copy=False)
 
 
 # ---------------------------------------------------------------------------

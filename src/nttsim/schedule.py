@@ -20,7 +20,7 @@ tightest producer-consumer distance in this schedule is
 when its total depth is strictly below that.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -46,9 +46,9 @@ class PipelineConfig:
     delay_pe_mult: int
 
     def __post_init__(self):
-        for name in ("delay_read", "delay_write", "delay_pe_ntt", "delay_pe_mult"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
 
     def delay_pe(self, op_kind: str) -> int:
         if op_kind == "ntt":

@@ -44,7 +44,7 @@ a simulator bug, never expected to fire.
 
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,6 +71,7 @@ from nttsim.schedule import (
 )
 
 POLYMUL_SEQUENCE = ("ntt", "ntt", "mult", "intt")
+OPS = ("ntt", "intt", "mult", "polymul")
 
 
 class HazardEvent(NamedTuple):
@@ -109,7 +110,10 @@ class SimMismatchError(Exception):
 
 @dataclass
 class HazardReport:
-    """Static timing analysis of one trace."""
+    """Timing analysis of one trace.
+
+    utilization is the share of PE issue slots the walked groups used.
+    """
 
     op_kind: str
     events: List[HazardEvent] = field(default_factory=list)
@@ -120,7 +124,12 @@ class HazardReport:
     issue_cycles: int = 0
     consumed_cycles: int = 0
     total_cycles: int = 0
+    utilization: float = 0.0
     per_stage: dict = field(default_factory=dict)
+
+    @property
+    def bank_conflicts(self) -> int:
+        return self.read_conflicts + self.write_conflicts
 
 
 HAZARD_KINDS = ("raw", "read_conflict", "write_conflict")
@@ -228,6 +237,8 @@ def detect_hazards(
         report.stall_cycles = shifts[-1] if shifts else 0
         report.consumed_cycles = int(issue[-1] + cost[-1]) + report.stall_cycles - setup_cycles
     report.total_cycles = setup_cycles + report.consumed_cycles + delay
+    if walked:
+        report.utilization = walked / report.consumed_cycles
 
     stall_of = np.zeros(groups, dtype=np.int64)
     stall_of[stalled] = np.diff(shifts, prepend=0)
@@ -341,12 +352,7 @@ class SimConfig:
             "N": self.N,
             "npe": self.npe,
             "moduli": [m.q for m in self.moduli],
-            "pipeline": {
-                "delay_read": self.pipeline.delay_read,
-                "delay_write": self.pipeline.delay_write,
-                "delay_pe_ntt": self.pipeline.delay_pe_ntt,
-                "delay_pe_mult": self.pipeline.delay_pe_mult,
-            },
+            "pipeline": asdict(self.pipeline),
             "setup_cycles": self.setup_cycles,
             "hazard_policy": self.hazard_policy,
             "layout": self.layout_kind,
@@ -430,35 +436,36 @@ def predicted_cycles(
 
 
 @dataclass
-class OpReport:
-    """Counters for one replayed operation."""
-
-    op_kind: str
-    issue_cycles: int
-    consumed_cycles: int
-    total_cycles: int
-    stall_cycles: int
-    raw_count: int
-    bank_conflicts: int
-    utilization: float
-    per_stage: dict
-    events: List[HazardEvent]
-
-
-@dataclass
 class SimReport:
     """Counters, hazard findings and numerical results of one run."""
 
     op: str
     config: SimConfig
-    reports: List[OpReport]
+    reports: List[HazardReport]
     results: List[List[int]]
-    total_cycles: int
-    stall_cycles: int
-    bank_conflict_count: int
-    utilization: float
     predicted: Optional[int]
-    matches_predicted: Optional[bool]
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(r.total_cycles for r in self.reports)
+
+    @property
+    def stall_cycles(self) -> int:
+        return sum(r.stall_cycles for r in self.reports)
+
+    @property
+    def bank_conflict_count(self) -> int:
+        return sum(r.bank_conflicts for r in self.reports)
+
+    @property
+    def utilization(self) -> float:
+        npe = self.config.npe
+        busy = sum(r.utilization * npe * r.consumed_cycles for r in self.reports)
+        return busy / (npe * sum(r.consumed_cycles for r in self.reports))
+
+    @property
+    def matches_predicted(self) -> Optional[bool]:
+        return None if self.predicted is None else self.total_cycles == self.predicted
 
     def to_json(self) -> str:
         payload = {
@@ -550,10 +557,11 @@ def run(
 
     detect_hazards times each op once for all RNS channels; under
     fail-fast its first event is raised. Each channel then replays the
-    trace's numerics in its own banked memory, and the final contents
-    must equal the reference transform's output, stalls or not.
+    trace's numerics in its own banked memory, and every op's output
+    must equal the reference transform of the input it read from that
+    memory, stalls or not.
     """
-    if op not in ("ntt", "intt", "mult", "polymul"):
+    if op not in OPS:
         raise ValueError(f"unknown op {op!r}")
     a_chan = _channels(a, config.moduli, config.N, "a")
     b_chan = _channels(b, config.moduli, config.N, "b")
@@ -566,10 +574,10 @@ def run(
     # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
     cells = layout.banks_of(index) * layout.n + layout.addresses_of(index)
     held = np.argsort(cells)  # the coefficient each cell holds
-    state = {"a": a_chan, "b": b_chan or []}
-    mems = {name: [coeffs[held] for coeffs in chans] for name, chans in state.items()}
+    mem_a = [coeffs[held] for coeffs in a_chan]
+    mem_b = [coeffs[held] for coeffs in b_chan or []]
 
-    op_reports: List[OpReport] = []
+    reports: List[HazardReport] = []
     trace = None
     for step, kind in enumerate(sequence):
         if trace is None or trace.op_kind != kind:
@@ -585,59 +593,30 @@ def run(
         if config.hazard_policy == "fail-fast" and timing.events:
             raise SimHazardError(timing.events[0])
         # in the polymul sequence the second forward transform runs on b
-        target = "b" if op == "polymul" and step == 1 else "a"
+        target = mem_b if op == "polymul" and step == 1 else mem_a
         for ch, mod in enumerate(config.moduli):
-            mem = mems[target][ch]
-            other = mems["b"][ch] if kind == "mult" else None
-            _replay_numerics(kind, stages, mem, other, mod)
+            mem = target[ch]
+            other = mem_b[ch] if kind == "mult" else None
             expect = _reference(
-                kind, mod, state[target][ch],
-                state["b"][ch] if kind == "mult" else None,
+                kind, mod, mem[cells], None if other is None else other[cells]
             )
-            state[target][ch] = expect
+            _replay_numerics(kind, stages, mem, other, mod)
             if not np.array_equal(mem[cells], expect):
                 raise SimMismatchError(
                     f"{kind} result mismatch on channel {ch} (q={mod.q})"
                 )
-        butterflies = len(trace.stage)
-        op_reports.append(
-            OpReport(
-                op_kind=kind,
-                issue_cycles=timing.issue_cycles,
-                consumed_cycles=timing.consumed_cycles,
-                total_cycles=timing.total_cycles,
-                stall_cycles=timing.stall_cycles,
-                raw_count=timing.raw_count,
-                bank_conflicts=timing.read_conflicts + timing.write_conflicts,
-                utilization=butterflies / (config.npe * timing.consumed_cycles),
-                per_stage=timing.per_stage,
-                events=timing.events,
-            )
-        )
+        reports.append(timing)
 
-    results = [chan.tolist() for chan in state["a"]]
     try:
         predicted = predicted_cycles(
             config.N, config.npe, config.pipeline, config.setup_cycles, op
         )
     except ValueError:
         predicted = None
-    total = sum(r.total_cycles for r in op_reports)
-    stalls = sum(r.stall_cycles for r in op_reports)
-    conflicts = sum(r.bank_conflicts for r in op_reports)
-    consumed = sum(r.consumed_cycles for r in op_reports)
-    butterflies_total = sum(
-        rep.utilization * config.npe * rep.consumed_cycles for rep in op_reports
-    )
     return SimReport(
         op=op,
         config=config,
-        reports=op_reports,
-        results=results,
-        total_cycles=total,
-        stall_cycles=stalls,
-        bank_conflict_count=conflicts,
-        utilization=butterflies_total / (config.npe * consumed),
+        reports=reports,
+        results=[mem[cells].tolist() for mem in mem_a],
         predicted=predicted,
-        matches_predicted=None if predicted is None else total == predicted,
     )

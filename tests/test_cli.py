@@ -5,9 +5,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nttsim
 from nttsim.cli import main, random_polynomial, splitmix64
 from nttsim.modarith import barrett_precompute
 
@@ -57,12 +61,68 @@ class TestRejectedInput:
         ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--setup-cycles", "-5"],
         ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--nq", "0"],
         ["ntt", "--n", "16", "--q-bits", "14", "--nq", "0"],
+        # usage errors end like validation errors, without a usage dump
+        ["sim", "--n", "abc", "--npe", "2", "--q-bits", "14"],
+        ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--format", "xml"],
+        ["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--bogus", "1"],
     ])
     def test_exit_1_one_line(self, args, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("line,message", [
+        ("format = xml", "format: invalid choice 'xml' (choose from json, text)"),
+        ("n = abc", "n: invalid int value 'abc'"),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"command = sim\nn = 16\nnpe = 2\nq_bits = 14\n{line}\n")
+        code, out, err = run_cli(["--config", str(cfg)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {cfg}:5: {message}\n"
+
+    @pytest.mark.parametrize("args,message", [
+        (["sim", "--n", "16", "--npe", "2", "--q", "15"], "modulus 15 is not prime"),
+        (["predict", "--n", "16", "--npe", "2", "--op", "polymul", "--layout", "diagonal"],
+         "layout: invalid choice 'diagonal' (choose from shifted, sequential)"),
+    ])
+    def test_pinned_messages(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_poly_file_unreduced_coefficient(self, tmp_path, capsys):
+        src = tmp_path / "bad.poly"
+        src.write_text("4 97\n1\n2\n98\n3\n")
+        code, out, err = run_cli(["ntt", "--input", str(src)], capsys)
+        assert (code, out, err) == (1, "", "error: coefficients not reduced mod 97\n")
+
+    @pytest.mark.parametrize("unbuffered", [
+        False,
+        pytest.param(True, marks=pytest.mark.xfail(
+            strict=True,
+            reason="unbuffered stdout drops the rest of a partial write: exit 0, no message",
+        )),
+    ])
+    def test_closed_pipe(self, unbuffered):
+        """A reader that stops early ends the dump with exit 1 and one line."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(nttsim.__file__)), env.get("PYTHONPATH")])
+        )
+        with subprocess.Popen(
+            [sys.executable, "-m", "nttsim.cli", "schedule", "dump", "--n", "16384", "--npe", "64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("body,found", [
         ("1\n2\n3\n4\n5\n6\n", 6),  # over-long

@@ -5,6 +5,7 @@ schoolbook convolution, and hand-frozen small cases.
 """
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -309,8 +310,8 @@ class TestSchoolbook:
             assert got == [mod.q - 1] + [0] * (n - 1)
 
     def test_big_integer_convolution_oracle(self, rng):
-        for n in (4, 16, 64):
-            mod = ntt_modulus(32, n)
+        for n, bits in itertools.product((4, 16, 64), (32, 40, 62)):
+            mod = ntt_modulus(bits, n)
             a = [rng.randrange(mod.q) for _ in range(n)]
             b = [rng.randrange(mod.q) for _ in range(n)]
             got = schoolbook_negacyclic(

@@ -223,20 +223,24 @@ class TestFailFastFirstEvent:
         assert err.value.event == first[0]
 
 
-@st.composite
-def walk_cases(draw):
-    """A geometry, an op, a layout, a policy, setup cycles and a pipeline
-    whose total delay lies anywhere in 0 ... RAW bound + 8."""
-    n_total = draw(st.sampled_from([16, 64, 256, 1024]))
+def draw_geometry(draw, sizes):
+    """N from sizes, a valid Npe and a pipeline whose total delay lies
+    anywhere in 0 ... RAW bound + 8."""
+    n_total = draw(st.sampled_from(sizes))
     n = 1 << ((n_total.bit_length() - 1) // 2)
     npe = draw(st.sampled_from([1 << e for e in range((n // 2).bit_length())]))
     bound = (n // 2) * (n // (2 * npe))
     total = draw(st.integers(0, bound + 8))
     read = draw(st.integers(0, total))
     write = draw(st.integers(0, total - read))
-    pipe = PipelineConfig(read, write, total - read - write, total - read - write)
+    return n_total, npe, PipelineConfig(read, write, total - read - write, total - read - write)
+
+
+@st.composite
+def walk_cases(draw):
+    """A geometry and pipeline, an op, a layout, a policy and setup cycles."""
     return (
-        n_total, npe, pipe,
+        *draw_geometry(draw, [16, 64, 256, 1024]),
         draw(st.sampled_from(["ntt", "intt", "mult"])),
         draw(st.sampled_from(["shifted", "sequential"])),
         draw(st.sampled_from(["stall", "fail-fast"])),
@@ -278,6 +282,53 @@ class TestWalkProperties:
         except ValueError:
             predicted = None
         assert (stalled.total_cycles == predicted) == (not stalled.events)
+
+
+@st.composite
+def run_cases(draw):
+    """A geometry and pipeline up to N=256, an op run() accepts, a layout,
+    a modulus width, setup cycles and an operand seed."""
+    return (
+        *draw_geometry(draw, [16, 64, 256]),
+        draw(st.sampled_from(["ntt", "intt", "polymul"])),
+        draw(st.sampled_from(["shifted", "sequential"])),
+        draw(st.sampled_from([14, 32, 62])),
+        draw(st.integers(0, 5)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestRunProperties:
+    """run() under the stall policy on drawn configurations: exact results,
+    stalls or not, and per op the report detect_hazards gives its trace."""
+
+    @given(run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_results_and_reports(self, case):
+        n_total, npe, pipe, op, layout, bits, setup, seed = case
+        cfg = make_sim_config(
+            n_total, npe, q_bits=bits, profile=pipe, setup_cycles=setup, layout_kind=layout
+        )
+        mod = cfg.moduli[0]
+        a, b = random_poly(mod, n_total, seed), random_poly(mod, n_total, seed + 1)
+        report = run(cfg, a, b, op=op)
+
+        tw = cached_twiddles(mod, n_total)
+        if op == "polymul":
+            want = negacyclic_schoolbook_oracle(a.to_ints(), b.to_ints(), mod.q)
+        else:
+            transform = ntt_ct_array if op == "ntt" else intt_gs_array
+            want = transform(a.coeffs, tw).tolist()
+        assert report.results == [want]
+
+        kinds = sim.POLYMUL_SEQUENCE if op == "polymul" else (op,)
+        assert [rep.op_kind for rep in report.reports] == list(kinds)
+        for kind, rep in zip(kinds, report.reports):
+            static = detect_hazards(build_schedule(n_total, npe, kind, layout), pipe, setup)
+            got = (rep.events, rep.stall_cycles, rep.per_stage, rep.total_cycles)
+            assert got == (static.events, static.stall_cycles, static.per_stage, static.total_cycles)
+            assert 0 < rep.utilization <= 1
+        assert 0 < report.utilization <= 1
 
 
 class TestMismatchCheck:
