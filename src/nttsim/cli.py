@@ -105,11 +105,18 @@ def _moduli(opts: Options, n: int) -> List[Modulus]:
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
+    elif not hasattr(sys.stdout, "buffer"):  # a text stream such as StringIO
+        sys.stdout.write(text)
+    else:
+        # an unbuffered stdout writes to a raw file, which may stop short:
+        # write to the end, so that a closed pipe fails the next write
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding))
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
 
 
 def _load_or_generate(opts: Options, which: str, stream) -> Polynomial:

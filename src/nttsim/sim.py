@@ -29,9 +29,12 @@ producer (the last write to its cell in an earlier group) from one sort
 and a binary search, and stall-free issue cycles as setup plus an
 exclusive prefix sum of slot lengths. Stalls only delay later groups,
 so only a read whose producer retires at or after the read's stall-free
-issue cycle can stall. Python walks just the groups holding such reads,
-in order, carrying the stall shift; a stall-free trace runs no
-per-group Python.
+issue cycle can stall. The stall shift of each group is then a max-plus
+recurrence, solved one dependency wave at a time: a wave is a maximal
+run of groups holding none of the producers its reads may wait on, so
+its shifts are one running maximum over producer shifts already known.
+A built schedule's producers lie in earlier stages, which gives at most
+one wave per stage; a stall-free trace has no wave at all.
 
 run() walks each op's timing once, whatever the number of RNS channels.
 Its numerics do not depend on timing, because the machine stalls rather
@@ -43,7 +46,6 @@ a simulator bug, never expected to fire.
 """
 
 import json
-from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -223,10 +225,15 @@ def detect_hazards(
                 for runs in (read_runs, write_runs)
             )
 
-    raw, stalled, shifts = _wait_for_producers(
-        candidates, read_group[candidates], producer[candidates],
-        retire[producer[candidates]], issue,
-    )
+    # the wait of each candidate read if nothing before it stalled; stalls
+    # then delay its producer's write by the producer's shift and its attempt
+    # by the shift of the group before (never group 0, which has no producer)
+    groups_of, producers = read_group[candidates], producer[candidates]
+    waits = retire[producers] + 1 - issue[groups_of]
+    shift = _stall_shifts(groups_of, producers, waits, groups)
+    waits += shift[producers] - shift[groups_of - 1]
+    hit = waits > 0
+    raw = (candidates[hit], issue[groups_of[hit]] + shift[groups_of[hit] - 1], waits[hit])
     report.raw_count = len(raw[0])
     report.read_conflicts = len(read_runs[0])
     report.write_conflicts = len(write_runs[0])
@@ -234,15 +241,13 @@ def detect_hazards(
     if walked < groups:
         report.consumed_cycles = int(issue[walked]) - setup_cycles
     else:
-        report.stall_cycles = shifts[-1] if shifts else 0
+        report.stall_cycles = int(shift[-1])
         report.consumed_cycles = int(issue[-1] + cost[-1]) + report.stall_cycles - setup_cycles
     report.total_cycles = setup_cycles + report.consumed_cycles + delay
     if walked:
         report.utilization = walked / report.consumed_cycles
 
-    stall_of = np.zeros(groups, dtype=np.int64)
-    stall_of[stalled] = np.diff(shifts, prepend=0)
-    issue += np.cumsum(stall_of)
+    issue += shift
     report.events = _events(read_cells, reads.shape[1], n, issue, raw, read_runs, write_runs)
     if walked < groups:
         report.events = report.events[:1]
@@ -264,42 +269,27 @@ def _producers(read_cells: np.ndarray, writes: np.ndarray, groups: int):
     return read_group, producer_key % groups, has_producer
 
 
-def _wait_for_producers(reads, groups, producers, retires, issue):
-    """The only per-group Python: walk the groups holding a candidate read,
-    in order, carrying the stall shift accumulated so far.
-
-    reads, groups, producers and retires give each candidate read's index,
-    issue group, producer group and the producer's stall-free retire
-    cycle. Returns the RAW hazards as (read index, attempt cycle, wait)
-    lists, the groups whose issue stalled and the cumulative shift after
-    each.
-    """
-    raw = ([], [], [])
-    stalled, shifts = [], []
-    shift = 0
-    reads, groups, producers, retires = (
-        column.tolist() for column in (reads, groups, producers, retires)
-    )
-    i = 0
-    while i < len(groups):
-        group = groups[i]
-        attempt = int(issue[group]) + shift
-        ready = attempt
-        while i < len(groups) and groups[i] == group:
-            # a producer issued after k stalled groups retires that much later
-            k = bisect_right(stalled, producers[i])
-            land = retires[i] + (shifts[k - 1] if k else 0)
-            if land >= attempt:
-                raw[0].append(reads[i])
-                raw[1].append(attempt)
-                raw[2].append(land + 1 - attempt)
-                ready = max(ready, land + 1)
-            i += 1
-        if ready > attempt:
-            shift += ready - attempt
-            stalled.append(group)
-            shifts.append(shift)
-    return raw, stalled, shifts
+def _stall_shifts(groups, producers, waits, count) -> np.ndarray:
+    """Stall shift of each of count issue groups (it issues that much after
+    its stall-free cycle), given each candidate read's group, producer group
+    and stall-free wait in read order: shift[g] = max(shift[g - 1], max over
+    g's candidate reads of wait + shift[producer]), solved as one running
+    maximum per dependency wave (see the module docstring)."""
+    shift = np.zeros(count, dtype=np.int64)
+    # reads before a wave have earlier producers, so the wave ends at the
+    # group of the first read whose producer is the wave's first group or later
+    reach = np.maximum.accumulate(producers)
+    lo = 0
+    while lo < len(groups):
+        first = groups[lo]
+        stop = np.searchsorted(reach, first)
+        last = groups[stop] if stop < len(groups) else count
+        hi = np.searchsorted(groups, last)
+        need = np.full(last - first, shift[first - 1])
+        np.maximum.at(need, groups[lo:hi] - first, waits[lo:hi] + shift[producers[lo:hi]])
+        shift[first:last] = np.maximum.accumulate(need)
+        lo = hi
+    return shift
 
 
 def _per_stage(trace: ScheduleTrace, cost: np.ndarray) -> dict:
@@ -317,7 +307,7 @@ def _events(read_cells, ports, n, issue, raw, read_runs, write_runs) -> List[Haz
     """Merge RAW and port-conflict events into the contract's order: by
     group; within one, RAW in port order, then read and write conflicts
     in (array, bank) order."""
-    raw_reads, raw_cycles, raw_waits = (np.asarray(column, dtype=np.int64) for column in raw)
+    raw_reads, raw_cycles, raw_waits = raw
     cells = read_cells[raw_reads]
     parts = [(raw_reads // ports, raw_cycles, cells // n, cells % n, raw_waits)]
     for group, key, extra in (read_runs, write_runs):
@@ -329,9 +319,7 @@ def _events(read_cells, ports, n, issue, raw, read_runs, write_runs) -> List[Haz
     ], axis=1)
     order = np.argsort(table[1] * len(HAZARD_KINDS) + table[0], kind="stable")
     kinds, _groups, *fields = table[:, order].tolist()
-    return [
-        HazardEvent(HAZARD_KINDS[kind], *values) for kind, *values in zip(kinds, *fields)
-    ]
+    return list(map(HazardEvent, [HAZARD_KINDS[kind] for kind in kinds], *fields))
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,7 @@ class TestRejectedInput:
         code, out, err = run_cli(["ntt", "--input", str(src)], capsys)
         assert (code, out, err) == (1, "", "error: coefficients not reduced mod 97\n")
 
-    @pytest.mark.parametrize("unbuffered", [
-        False,
-        pytest.param(True, marks=pytest.mark.xfail(
-            strict=True,
-            reason="unbuffered stdout drops the rest of a partial write: exit 0, no message",
-        )),
-    ])
+    @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_pipe(self, unbuffered):
         """A reader that stops early ends the dump with exit 1 and one line."""
         env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}

@@ -225,12 +225,13 @@ class TestFailFastFirstEvent:
 
 def draw_geometry(draw, sizes):
     """N from sizes, a valid Npe and a pipeline whose total delay lies
-    anywhere in 0 ... RAW bound + 8."""
+    anywhere in 0 ... 3 * RAW bound + 3, deep enough to stall in every
+    stage that has a producer."""
     n_total = draw(st.sampled_from(sizes))
     n = 1 << ((n_total.bit_length() - 1) // 2)
     npe = draw(st.sampled_from([1 << e for e in range((n // 2).bit_length())]))
     bound = (n // 2) * (n // (2 * npe))
-    total = draw(st.integers(0, bound + 8))
+    total = draw(st.integers(0, 3 * bound + 3))
     read = draw(st.integers(0, total))
     write = draw(st.integers(0, total - read))
     return n_total, npe, PipelineConfig(read, write, total - read - write, total - read - write)
@@ -243,6 +244,45 @@ def walk_cases(draw):
         *draw_geometry(draw, [16, 64, 256, 1024]),
         draw(st.sampled_from(["ntt", "intt", "mult"])),
         draw(st.sampled_from(["shifted", "sequential"])),
+        draw(st.sampled_from(["stall", "fail-fast"])),
+        draw(st.integers(0, 5)),
+    )
+
+
+def hand_trace(n, npe, cells, stages):
+    """An ntt trace over n banks whose group g reads and writes cells[g]
+    (its r0 cells, then its r1 cells) in stage stages[g]."""
+    rows = np.array(cells, dtype=np.int32)
+    size = len(cells) * npe
+    return ScheduleTrace(
+        "ntt", n * n, n, npe, "shifted",
+        stage=np.repeat(np.array(stages, dtype=np.int32), npe),
+        rnd=np.zeros(size, dtype=np.int32),
+        r0=rows[:, :npe].ravel(), r1=rows[:, npe:].ravel(),
+        tw=np.ones(size, dtype=np.int32),
+    )
+
+
+@st.composite
+def hand_trace_cases(draw):
+    """Arguments of hand_trace with up to 24 groups, each reading 2 * Npe
+    distinct random cells in a nondecreasing stage, so a producer may sit
+    in its reader's stage and a bank may be over-subscribed; plus a
+    pipeline, a policy and setup cycles."""
+    n = draw(st.sampled_from([4, 8]))
+    npe = draw(st.sampled_from([1, 2, 4]))
+    groups = draw(st.integers(1, 24))
+    cells = [
+        draw(st.lists(st.integers(0, n * n - 1), min_size=2 * npe, max_size=2 * npe, unique=True))
+        for _ in range(groups)
+    ]
+    steps = draw(st.lists(st.booleans(), min_size=groups - 1, max_size=groups - 1))
+    stages = np.cumsum([0, *steps]).tolist()
+    total = draw(st.integers(0, 40))
+    read = draw(st.integers(0, total))
+    pipe = PipelineConfig(read, 0, total - read, total - read)
+    return (
+        n, npe, cells, stages, pipe,
         draw(st.sampled_from(["stall", "fail-fast"])),
         draw(st.integers(0, 5)),
     )
@@ -282,6 +322,77 @@ class TestWalkProperties:
         except ValueError:
             predicted = None
         assert (stalled.total_cycles == predicted) == (not stalled.events)
+
+    @given(hand_trace_cases())
+    @settings(max_examples=150, deadline=None)
+    # a producer chain inside one stage: each group after the first is a wave
+    @example((4, 1, [[0, 1], [1, 2], [2, 3], [3, 0]], [0, 0, 0, 0],
+              PipelineConfig(0, 0, 5, 5), "stall", 0))
+    # a chain inside stage 1 behind a bank conflict in stage 0
+    @example((4, 2, [[0, 4, 1, 5], [0, 2, 3, 6], [2, 7, 8, 9], [9, 10, 11, 0]], [0, 0, 1, 1],
+              PipelineConfig(2, 0, 3, 3), "stall", 2))
+    def test_hand_built_traces_match_oracle(self, case):
+        n, npe, cells, stages, pipe, policy, setup = case
+        trace = hand_trace(n, npe, cells, stages)
+        report = detect_hazards(trace, pipe, setup, policy)
+        want = oracle_timing(trace, pipe)
+        events = [(kind, cycle + setup, *rest) for kind, cycle, *rest in want.events]
+        if policy == "fail-fast":
+            assert report.events == events[:1]
+            return
+        assert report.events == events
+        assert report.stall_cycles == want.stall_cycles
+        assert report.per_stage == want.per_stage
+        assert report.total_cycles == want.total_cycles + setup
+
+
+def producer_distances(trace):
+    """Each stage's minimum producer distance d_s, read straight from the
+    trace columns: the least g - p over the stage's groups g and the cells
+    g reads, p being the last earlier group that wrote the cell. Stages
+    whose reads have no producer are left out."""
+    groups = trace.issue_cycles
+    cells = np.hstack([trace.r0.reshape(groups, -1), trace.r1.reshape(groups, -1)])
+    stages = trace.stage[::trace.npe].tolist()
+    last_write = np.full(trace.N, -1)
+    distances = {}
+    for group, stage in enumerate(stages):
+        producer = int(last_write[cells[group]].max())
+        if producer >= 0:
+            distances[stage] = min(distances.get(stage, groups), group - producer)
+        last_write[cells[group]] = group
+    return distances
+
+
+class TestClosedFormStalls:
+    """On the shifted layout one ntt or intt stalls for exactly
+    sum over stages s of max(0, D + 1 - d_s) cycles, D being the total
+    pipeline delay and d_s the stage's minimum producer distance; the least
+    d_s is the RAW bound."""
+
+    GEOMETRIES = (
+        [(16, 1), (16, 2), (64, 1), (64, 2), (64, 4)]
+        + [(256, npe) for npe in (1, 2, 4, 8)]
+        + [(1024, npe) for npe in (1, 2, 4, 8, 16)]
+    )
+
+    @pytest.mark.parametrize("op", ["ntt", "intt"])
+    @pytest.mark.parametrize("n_total,npe", GEOMETRIES)
+    def test_stall_cycles_match_closed_form(self, n_total, npe, op):
+        trace = build_schedule(n_total, npe, op)
+        distances = producer_distances(trace)
+        bound = check_raw_bound(n_total, npe, PROFILES["ideal"], op_kind=op).bound
+        assert min(distances.values()) == bound
+        # the inverse butterfly is a cycle deeper, so its delay starts at 1;
+        # every delay up to N=256, a stride plus the bound's edges beyond
+        delays = range(op == "intt", 3 * bound + 4)
+        if n_total > 256:
+            delays = {*delays[::max(1, bound // 8)], bound - 1, bound, bound + 1, 3 * bound + 3}
+        for delay in sorted(delays):
+            quarter = delay // 4
+            pipe = PipelineConfig(quarter, quarter, delay - 2 * quarter - (op == "intt"), 0)
+            closed = sum(max(0, delay + 1 - distance) for distance in distances.values())
+            assert detect_hazards(trace, pipe).stall_cycles == closed, delay
 
 
 @st.composite
