@@ -178,8 +178,10 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> No
 
     groups holds each stage's butterfly-group count g: the stage pairs
     halves 0 and 1 of the (g, 2, N/2g) view of every row, with twiddle
-    table[g + j] for group j. Above 32 bits each block runs on Python
-    ints and is converted back at its end.
+    table[g + j] for group j. Stages whose groups hold at most 8
+    butterflies pair the same halves in the transposed (N/2g, 2, g) view.
+    Above 32 bits each block runs on Python ints and is converted back at
+    its end.
     """
     rows, n = x.shape
     dtype = kernel_dtype(tw.mod)
@@ -192,9 +194,12 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> No
         r = len(work)
         s1, s2 = scratch[:, :r * n // 2]
         for g in groups:
-            pairs = work.reshape(r, g, 2, n // (2 * g))
+            pairs, w = work.reshape(r, g, 2, n // (2 * g)), table[g:2 * g, None]
+            if n // (2 * g) <= 8:
+                # numpy streams along the g groups, not within each short one
+                pairs, w = pairs.transpose(0, 3, 2, 1), table[g:2 * g]
             shape = pairs.shape[:2] + pairs.shape[3:]
-            butterfly(pairs[:, :, 0], pairs[:, :, 1], table[g:2 * g, None], tw.mod,
+            butterfly(pairs[:, :, 0], pairs[:, :, 1], w, tw.mod,
                       s1.reshape(shape), s2.reshape(shape))
         if work is not view:
             view[...] = work

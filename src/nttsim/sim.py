@@ -25,24 +25,26 @@ trace):
 
 detect_hazards works on the trace's int32 columns with array operations:
 port conflicts per group from sorted (array, bank) keys, each read's
-producer (the last write to its cell in an earlier group) from one sort
-and a binary search, and stall-free issue cycles as setup plus an
-exclusive prefix sum of slot lengths. Stalls only delay later groups,
-so only a read whose producer retires at or after the read's stall-free
-issue cycle can stall. The stall shift of each group is then a max-plus
-recurrence, solved one dependency wave at a time: a wave is a maximal
-run of groups holding none of the producers its reads may wait on, so
-its shifts are one running maximum over producer shifts already known.
-A built schedule's producers lie in earlier stages, which gives at most
-one wave per stage; a stall-free trace has no wave at all.
+producer (the last write to its cell in an earlier group) as its
+neighbour in one sort of the written ports by (cell, read), and
+stall-free issue cycles as setup plus an exclusive prefix sum of slot
+lengths. Stalls only delay later groups, so only a read whose producer
+retires at or after the read's stall-free issue cycle can stall. The
+stall shift of each group is then a max-plus recurrence, solved one
+dependency wave at a time: a wave is a maximal run of groups holding
+none of the producers its reads may wait on, so its shifts are one
+running maximum over producer shifts already known. A built schedule's
+producers lie in earlier stages, which gives at most one wave per
+stage; a stall-free trace has no wave at all.
 
-run() walks each op's timing once, whatever the number of RNS channels.
-Its numerics do not depend on timing, because the machine stalls rather
-than read a stale value: each stage gathers the cells and twiddle
-indices in the trace's own columns, applies one batch butterfly per
-channel and scatters the results back. run() refuses to return a
-result that disagrees with the reference transform: such a mismatch is
-a simulator bug, never expected to fire.
+run() walks each distinct trace's timing once, whatever the number of
+RNS channels: polymul's two forward transforms share one trace, so they
+share one report. Its numerics do not depend on timing, because the
+machine stalls rather than read a stale value: each stage gathers the
+cells and twiddle indices in the trace's own columns, applies one batch
+butterfly per channel and scatters the results back. run() refuses to
+return a result that disagrees with the reference transform: such a
+mismatch is a simulator bug, never expected to fire.
 """
 
 import json
@@ -202,23 +204,31 @@ def detect_hazards(
     retire = issue + cost - 1 + delay
 
     read_cells = reads.ravel()
-    read_group, producer, has_producer = _producers(read_cells, writes, groups)
+    ports = reads.shape[1]
+    read, read_group, producer = _producers(writes)
     # stalls only delay later groups, so a read can wait only if its
     # producer retires at or after the read's stall-free issue cycle
-    candidates = np.flatnonzero(has_producer & (retire[producer] >= issue[read_group]))
+    late = retire[producer] >= issue[read_group]
+    read, read_group, producer = read[late], read_group[late], producer[late]
+    read += read_group * (ports - writes.shape[1])  # index among all read ports
+    order = np.argsort(read)
+    candidates, groups_of, producers = read[order], read_group[order], producer[order]
 
     walked = groups  # groups issued; fail-fast stops at the first hazard
     if policy == "fail-fast":
         conflicted = np.flatnonzero(cost > 1)
         walked = min(
-            int(read_group[candidates[0]]) if len(candidates) else groups,
+            int(groups_of[0]) if len(candidates) else groups,
             int(conflicted[0]) if len(conflicted) else groups,
         )
         if walked < groups:
             # nothing stalls before the first hazard, and a group's operands
             # are checked before its ports: keep the stopping group's RAW
             # hazards or, if it has none, its port conflicts
-            candidates = candidates[read_group[candidates] == walked]
+            keep = groups_of == walked
+            candidates, groups_of, producers = (
+                column[keep] for column in (candidates, groups_of, producers)
+            )
             at = -1 if len(candidates) else walked
             read_runs, write_runs = (
                 tuple(column[runs[0] == at] for column in runs)
@@ -228,7 +238,6 @@ def detect_hazards(
     # the wait of each candidate read if nothing before it stalled; stalls
     # then delay its producer's write by the producer's shift and its attempt
     # by the shift of the group before (never group 0, which has no producer)
-    groups_of, producers = read_group[candidates], producer[candidates]
     waits = retire[producers] + 1 - issue[groups_of]
     shift = _stall_shifts(groups_of, producers, waits, groups)
     waits += shift[producers] - shift[groups_of - 1]
@@ -248,25 +257,46 @@ def detect_hazards(
         report.utilization = walked / report.consumed_cycles
 
     issue += shift
-    report.events = _events(read_cells, reads.shape[1], n, issue, raw, read_runs, write_runs)
+    report.events = _events(read_cells, ports, n, issue, raw, read_runs, write_runs)
     if walked < groups:
         report.events = report.events[:1]
     return report
 
 
-def _producers(read_cells: np.ndarray, writes: np.ndarray, groups: int):
-    """Issue group of each read, and the group of the last write to the
-    same cell in an earlier group (valid where has_producer)."""
-    per_group = len(read_cells) // groups
-    read_group = np.repeat(np.arange(groups, dtype=np.int64), per_group)
-    written = np.sort(
-        writes.ravel().astype(np.int64) * groups
-        + np.repeat(np.arange(groups, dtype=np.int64), writes.shape[1])
-    )
-    before = np.searchsorted(written, read_cells * np.int64(groups) + read_group) - 1
-    producer_key = written[before]
-    has_producer = (before >= 0) & (producer_key // groups == read_cells)
-    return read_group, producer_key % groups, has_producer
+def _producers(writes: np.ndarray):
+    """Each read of a written cell that an earlier group wrote: its index
+    among the write ports, its group and its producer (the group of the
+    last write to its cell in an earlier group), as int32 arrays in
+    (cell, read) order.
+
+    writes holds one row per group of the written cells, which are the
+    group's reads on those ports. A cell is written at every access (the
+    operand memory a: every ntt/intt port, mult's r0) or at none (mult's
+    second operand memory b), so reads of cells never written have no
+    producer, and among the write ports sorted by (cell, read) the access
+    just before each run of one cell in one group is that cell's last
+    write in an earlier group, if it holds the same cell.
+    """
+    groups, width = writes.shape
+    size = groups * width
+    bits = size.bit_length()
+    packed = writes.astype(np.int64).ravel()
+    packed <<= bits
+    packed |= np.arange(size)
+    packed.sort()
+    read = (packed & ((1 << bits) - 1)).astype(np.int32)
+    packed >>= bits
+    cell = packed.astype(np.int32)
+    del packed
+    group = read // np.int32(width)
+    # before[j]: the access just before the run of j's (cell, group)
+    before = np.arange(size, dtype=np.int32)
+    before[1:] *= (cell[1:] != cell[:-1]) | (group[1:] != group[:-1])
+    np.maximum.accumulate(before, out=before)
+    before -= 1
+    linked = cell[before] == cell
+    linked &= before >= 0
+    return read[linked], group[linked], group[before[linked]]
 
 
 def _stall_shifts(groups, producers, waits, count) -> np.ndarray:
@@ -543,7 +573,8 @@ def run(
 ) -> SimReport:
     """Time, replay and verify one operation (or the polymul sequence).
 
-    detect_hazards times each op once for all RNS channels; under
+    detect_hazards times each distinct trace once for all RNS channels,
+    so polymul's two forward transforms append the same report; under
     fail-fast its first event is raised. Each channel then replays the
     trace's numerics in its own banked memory, and every op's output
     must equal the reference transform of the input it read from that
@@ -574,12 +605,13 @@ def run(
                 (trace.r0[rows], trace.r1[rows], trace.tw[rows])
                 for _stage, rows in trace.stage_slices()
             ]
-        # chained ops start only after the previous one fully retires
-        timing = detect_hazards(
-            trace, config.pipeline, config.setup_cycles, config.hazard_policy
-        )
-        if config.hazard_policy == "fail-fast" and timing.events:
-            raise SimHazardError(timing.events[0])
+            # chained ops start only after the previous one fully retires,
+            # so equal traces time equally
+            timing = detect_hazards(
+                trace, config.pipeline, config.setup_cycles, config.hazard_policy
+            )
+            if config.hazard_policy == "fail-fast" and timing.events:
+                raise SimHazardError(timing.events[0])
         # in the polymul sequence the second forward transform runs on b
         target = mem_b if op == "polymul" and step == 1 else mem_a
         for ch, mod in enumerate(config.moduli):

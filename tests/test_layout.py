@@ -113,6 +113,23 @@ class TestConflictFreedom:
                         assert bank(i) != bank(j)
                 t *= 2
 
+    @pytest.mark.parametrize("n_total", [64, 256])
+    def test_sequential_violations_match_double_loop(self, n_total):
+        # the report's violations, exactly and in order, against plain loops
+        # over every distance 2^t and every i with a partner i + 2^t
+        n = make_layout(n_total).n
+        want, pairs, t = [], 0, 0
+        while 1 << t <= n_total // 2:
+            for i in range(n_total - (1 << t)):
+                j = i + (1 << t)
+                pairs += 1
+                if i % n == j % n:
+                    want.append({"i": i, "j": j, "bank": i % n, "t": t})
+            t += 1
+        report = verify_conflict_free(n_total, kind="sequential")
+        assert report.violations == want
+        assert report.pairs_checked == pairs
+
     def test_report_json_lines(self):
         report = verify_conflict_free(16, kind="sequential")
         lines = report.to_json_lines().strip().split("\n")

@@ -76,6 +76,19 @@ class TestTwiddles:
             assert intt_gs(ntt_ct(p, tw), tw).to_ints() == coeffs
 
 
+def dense_batch(bits):
+    """A (5, 256) batch, its twiddles and its dense evaluations in the
+    transform's bit-reversed order, row by row from naive_negacyclic_ntt."""
+    mod = ntt_modulus(bits, 256)
+    tw = gen_twiddles(mod, 256)
+    batch = np.random.default_rng(bits).integers(0, mod.q, size=(5, 256), dtype=np.uint64)
+    evals = []
+    for row in batch.tolist():
+        natural = naive_negacyclic_ntt(row, tw.psi, mod.q)
+        evals.append([natural[bit_reverse(r, 8)] for r in range(256)])
+    return batch, np.array(evals, dtype=np.uint64), tw
+
+
 class TestForwardTransform:
     def test_delta_becomes_constant(self):
         tw = gen_twiddles(Q17, 4)
@@ -96,6 +109,12 @@ class TestForwardTransform:
             natural = naive_negacyclic_ntt(coeffs, tw.psi, mod.q)
             bits = n.bit_length() - 1
             assert got == [natural[bit_reverse(r, bits)] for r in range(n)]
+
+    @pytest.mark.parametrize("bits", [14, 32])
+    def test_batch_matches_dense_evaluation(self, bits):
+        # one call runs every stage of every row, long and short groups alike
+        batch, evals, tw = dense_batch(bits)
+        np.testing.assert_array_equal(ntt_ct_array(batch, tw), evals)
 
     def test_length_mismatch_rejected(self):
         tw = gen_twiddles(Q17, 4)
@@ -140,6 +159,12 @@ class TestInverseTransform:
             got = intt_gs(Polynomial.from_ints(evals_br, mod), tw).to_ints()
             natural = [evals_br[bit_reverse(j, bits)] for j in range(n)]
             assert got == naive_negacyclic_intt(natural, tw.psi, mod.q)
+
+    @pytest.mark.parametrize("bits", [14, 32])
+    def test_batch_inverts_dense_evaluation(self, bits):
+        # the round trip through the dense oracle's evaluations
+        batch, evals, tw = dense_batch(bits)
+        np.testing.assert_array_equal(intt_gs_array(evals, tw), batch)
 
     def test_bulk_roundtrips(self):
         # 1000 random polynomials spread over N in {4, ..., 1024}

@@ -249,31 +249,34 @@ def walk_cases(draw):
     )
 
 
-def hand_trace(n, npe, cells, stages):
-    """An ntt trace over n banks whose group g reads and writes cells[g]
-    (its r0 cells, then its r1 cells) in stage stages[g]."""
+def hand_trace(op, n, npe, cells, stages):
+    """An op trace over n banks whose group g reads cells[g] (its r0 cells,
+    then its r1 cells, which a multiply reads from memory b) in stage
+    stages[g]; a butterfly writes back to both cells, a multiply to r0."""
     rows = np.array(cells, dtype=np.int32)
     size = len(cells) * npe
     return ScheduleTrace(
-        "ntt", n * n, n, npe, "shifted",
+        op, n * n, n, npe, "shifted",
         stage=np.repeat(np.array(stages, dtype=np.int32), npe),
         rnd=np.zeros(size, dtype=np.int32),
         r0=rows[:, :npe].ravel(), r1=rows[:, npe:].ravel(),
-        tw=np.ones(size, dtype=np.int32),
+        tw=np.full(size, -1 if op == "mult" else 1, dtype=np.int32),
     )
 
 
 @st.composite
 def hand_trace_cases(draw):
-    """Arguments of hand_trace with up to 24 groups, each reading 2 * Npe
-    distinct random cells in a nondecreasing stage, so a producer may sit
-    in its reader's stage and a bank may be over-subscribed; plus a
-    pipeline, a policy and setup cycles."""
+    """Arguments of hand_trace with up to 24 groups of an ntt, intt or mult,
+    each reading 2 * Npe random cells, possibly one cell twice, in a
+    nondecreasing stage, so a producer may sit in its reader's stage,
+    mult's r1 reads never have one and a bank may be over-subscribed; plus
+    a pipeline, a policy and setup cycles."""
+    op = draw(st.sampled_from(["ntt", "intt", "mult"]))
     n = draw(st.sampled_from([4, 8]))
     npe = draw(st.sampled_from([1, 2, 4]))
     groups = draw(st.integers(1, 24))
     cells = [
-        draw(st.lists(st.integers(0, n * n - 1), min_size=2 * npe, max_size=2 * npe, unique=True))
+        draw(st.lists(st.integers(0, n * n - 1), min_size=2 * npe, max_size=2 * npe))
         for _ in range(groups)
     ]
     steps = draw(st.lists(st.booleans(), min_size=groups - 1, max_size=groups - 1))
@@ -282,7 +285,7 @@ def hand_trace_cases(draw):
     read = draw(st.integers(0, total))
     pipe = PipelineConfig(read, 0, total - read, total - read)
     return (
-        n, npe, cells, stages, pipe,
+        op, n, npe, cells, stages, pipe,
         draw(st.sampled_from(["stall", "fail-fast"])),
         draw(st.integers(0, 5)),
     )
@@ -326,14 +329,20 @@ class TestWalkProperties:
     @given(hand_trace_cases())
     @settings(max_examples=150, deadline=None)
     # a producer chain inside one stage: each group after the first is a wave
-    @example((4, 1, [[0, 1], [1, 2], [2, 3], [3, 0]], [0, 0, 0, 0],
+    @example(("ntt", 4, 1, [[0, 1], [1, 2], [2, 3], [3, 0]], [0, 0, 0, 0],
               PipelineConfig(0, 0, 5, 5), "stall", 0))
     # a chain inside stage 1 behind a bank conflict in stage 0
-    @example((4, 2, [[0, 4, 1, 5], [0, 2, 3, 6], [2, 7, 8, 9], [9, 10, 11, 0]], [0, 0, 1, 1],
-              PipelineConfig(2, 0, 3, 3), "stall", 2))
+    @example(("ntt", 4, 2, [[0, 4, 1, 5], [0, 2, 3, 6], [2, 7, 8, 9], [9, 10, 11, 0]],
+              [0, 0, 1, 1], PipelineConfig(2, 0, 3, 3), "stall", 2))
+    # a cell read twice in one group, then read by the next; a multiply
+    # reading cell 3 of memory a, which it writes, and of memory b, which
+    # nothing writes
+    @example(("ntt", 4, 1, [[5, 5], [5, 6]], [0, 1], PipelineConfig(0, 0, 3, 3), "stall", 0))
+    @example(("mult", 4, 1, [[3, 3], [3, 3], [1, 3]], [0, 0, 0],
+              PipelineConfig(0, 0, 4, 4), "stall", 1))
     def test_hand_built_traces_match_oracle(self, case):
-        n, npe, cells, stages, pipe, policy, setup = case
-        trace = hand_trace(n, npe, cells, stages)
+        op, n, npe, cells, stages, pipe, policy, setup = case
+        trace = hand_trace(op, n, npe, cells, stages)
         report = detect_hazards(trace, pipe, setup, policy)
         want = oracle_timing(trace, pipe)
         events = [(kind, cycle + setup, *rest) for kind, cycle, *rest in want.events]
@@ -590,6 +599,52 @@ class TestPolymul:
         b = random_poly(mod, 4096, 20)
         report = run(cfg, a, b, op="polymul")
         assert [r.total_cycles for r in report.reports] == [787, 787, 146, 788]
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """The op kind of every trace run() walks."""
+        kinds = []
+        walk = sim.detect_hazards
+
+        def counted(trace, *args, **kwargs):
+            kinds.append(trace.op_kind)
+            return walk(trace, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "detect_hazards", counted)
+        return kinds
+
+    @pytest.mark.parametrize("op,want", [
+        ("polymul", ["ntt", "mult", "intt"]), ("ntt", ["ntt"]), ("intt", ["intt"]),
+        ("mult", ["mult"]),
+    ])
+    def test_one_walk_per_distinct_trace(self, walks, op, want):
+        cfg = make_sim_config(64, 4, q_bits=14, profile="q14")
+        a = random_poly(cfg.moduli[0], 64, 25)
+        b = random_poly(cfg.moduli[0], 64, 26) if op in ("mult", "polymul") else None
+        report = run(cfg, a, b, op=op)
+        assert walks == want
+        assert len(report.reports) == len(sim.POLYMUL_SEQUENCE if op == "polymul" else [op])
+        if op == "polymul":
+            assert report.reports[0] == report.reports[1]
+
+    # N=256, Npe=4 has RAW bound 16 under q32's delay of 19; N=1024, Npe=8
+    # has bound 32
+    @pytest.mark.parametrize("n_total,npe,stalls", [(256, 4, True), (1024, 8, False)])
+    def test_shared_walk_equals_walk_per_step(self, n_total, npe, stalls):
+        cfg = make_sim_config(n_total, npe, q_bits=32, profile="q32", setup_cycles=3)
+        a = random_poly(cfg.moduli[0], n_total, 27)
+        b = random_poly(cfg.moduli[0], n_total, 28)
+        report = run(cfg, a, b, op="polymul")
+        steps = [
+            detect_hazards(build_schedule(n_total, npe, kind), cfg.pipeline, cfg.setup_cycles)
+            for kind in sim.POLYMUL_SEQUENCE
+        ]
+        per_step = dataclasses.replace(report, reports=steps)
+        assert (report.stall_cycles > 0) == stalls
+        assert report.reports == steps
+        for total in ("total_cycles", "stall_cycles", "bank_conflict_count", "utilization"):
+            assert getattr(report, total) == getattr(per_step, total), total
+        assert report.to_json() == per_step.to_json()
 
     def test_rns_channels(self):
         basis = gen_basis(14, 2, 16)
