@@ -7,13 +7,12 @@ reciprocal so that every multiply fits a split-operand step multiplier.
 Both return the exact residue; the hardware variant is the one the
 simulator's butterfly units execute.
 
-Scalar functions operate on Python ints and are exact for moduli up to
-62 bits. The array kernels (``*_into``) compute the same formulas
-elementwise into caller-owned buffers, without operand checks, on uint64
-arrays up to 32 bits; the ones the transforms use also run on
-dtype=object arrays of Python ints above (``kernel_dtype``). The checked
-``*_batch`` wrappers take uint64 operands up to 32 bits; the exhaustive
-test sweeps use them.
+Moduli are primes in [3, 2^62). Scalar functions operate on Python ints.
+The array kernels (``*_into``) compute the same formulas elementwise into
+caller-owned uint64 buffers, without operand checks; above 32 bits the
+hardware multiply takes its double-word products from 32-bit partial
+products. The checked ``*_batch`` wrappers take uint64 operands, the
+plain one up to 32 bits; the exhaustive test sweeps use them.
 """
 
 import math
@@ -110,8 +109,8 @@ def _constants(q: int) -> Modulus:
 
 def barrett_precompute(q: int, two_n: Optional[int] = None) -> Modulus:
     """Validate a prime and derive its Barrett constants."""
-    if not 3 <= q < 2**63:
-        raise ValueError(f"modulus {q} outside supported range [3, 2^63)")
+    if not 3 <= q < 2**62:
+        raise ValueError(f"modulus {q} outside supported range [3, 2^62)")
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     if two_n is not None and q % two_n != 1:
@@ -333,12 +332,6 @@ def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
 BLOCK_ELEMS = 1 << 16
 
 
-def kernel_dtype(mod: Modulus) -> np.dtype:
-    """uint64 up to 32 bits, where every intermediate fits a word;
-    Python ints (dtype=object) above."""
-    return np.dtype(np.uint64) if mod.k <= 32 else np.dtype(object)
-
-
 def check_reduced(values: np.ndarray, q: int) -> np.ndarray:
     """values itself, once checked to lie in [0, q)."""
     if values.size and int(values.max()) >= q:
@@ -349,27 +342,34 @@ def check_reduced(values: np.ndarray, q: int) -> np.ndarray:
 def reduce_once_into(x: np.ndarray, q: int, out: np.ndarray, tmp: np.ndarray) -> None:
     """out = x - q where x >= q, else x; exact for 0 <= x < 2q. out may be x."""
     np.subtract(x, q, out=tmp)
-    if x.dtype == object:
-        out[...] = np.where(x >= q, tmp, x)
-    else:
-        # below q, x - q wraps past 2^64 - q > x, so the minimum selects
-        np.minimum(x, tmp, out=out)
+    # below q, x - q wraps past 2^64 - q > x, so the minimum selects
+    np.minimum(x, tmp, out=out)
+
+
+def _mulhi(a, b) -> np.ndarray:
+    """(a * b) >> 64 elementwise on uint64, from four 32x32-bit partials."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_hi, hi_lo = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return a_hi * b_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32)
 
 
 def barrett_mul_hw_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = barrett_mul_hw(a, b) elementwise.
+    """out = barrett_mul_hw(a, b) elementwise, on uint64.
 
-    a and b broadcast to out's shape; tmp has out's shape and dtype, and
-    neither buffer may alias an operand.
+    a and b broadcast to out's shape; tmp has out's shape, and neither
+    buffer may alias an operand. Above 32 bits t1 and t1_high * m span
+    two words: the low word is the wrapping product, the high one _mulhi.
     """
     q, k, m = mod.q, mod.k, mod.m
-    np.multiply(a, b, out=out)  # t1 < 2^2k
+    np.multiply(a, b, out=out)  # t1 mod 2^64, all of t1 up to 32 bits
     np.right_shift(out, k - 1, out=tmp)  # t1_high < 2^(k+1)
-    if k < 32 or out.dtype == object:
+    if k < 32:
         # t1_high * m < 2^(2k+2) fits a word below 32 bits
         np.multiply(tmp, m, out=tmp)
         np.right_shift(tmp, k + 1, out=tmp)
-    else:
+    elif k == 32:
         # t2 = (t1_high * m) >> 33 over 16-bit limbs of m, with out as
         # scratch; t1 is recomputed after
         np.multiply(tmp, m & _MASK16, out=out)
@@ -378,19 +378,26 @@ def barrett_mul_hw_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) ->
         np.add(tmp, out, out=tmp)
         np.right_shift(tmp, k - 15, out=tmp)
         np.multiply(a, b, out=out)
-    np.multiply(tmp, q, out=tmp)  # t3
-    np.subtract(out, tmp, out=out)  # t4 < 3q
+    else:
+        tmp |= _mulhi(a, b) << (65 - k)  # t1_high
+        hi = _mulhi(tmp, m)
+        np.multiply(tmp, m, out=tmp)
+        np.right_shift(tmp, k + 1, out=tmp)
+        tmp |= hi << (63 - k)  # t2
+    np.multiply(tmp, q, out=tmp)  # t3 mod 2^64
+    np.subtract(out, tmp, out=out)  # t4 < 3q < 2^64, so exact mod 2^64
     reduce_once_into(out, 2 * q, out, tmp)
     reduce_once_into(out, q, out, tmp)
 
 
 def barrett_mul_soft_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = barrett_mul_soft(a, b) elementwise, on uint64 only; buffers
+    """out = barrett_mul_soft(a, b) elementwise, up to 32 bits; buffers
     as in barrett_mul_hw_into.
 
     t2 = (t1 * m) >> 2k is taken over limbs so no partial product leaves
     64 bits; out serves as scratch and t1 is recomputed after. At 32 bits
-    one more buffer is allocated.
+    one more buffer is allocated. t1 * m reaches 3k + 1 bits, and no
+    caller needs this reference variant wider.
     """
     q, k, m = mod.q, mod.k, mod.m
     np.multiply(a, b, out=out)  # t1 < 2^2k
@@ -441,35 +448,28 @@ def _as_residues(a, q: int) -> np.ndarray:
     return check_reduced(np.asarray(a, dtype=np.uint64), q)
 
 
-def _require_batchable(mod: Modulus) -> None:
-    if mod.k > 32:
-        raise ValueError("batch kernels support moduli up to 32 bits")
-
-
 def mul_blocks(core, a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
     """core(a, b) elementwise over reduced uint64 arrays, one cache block
-    at a time, in the kernel dtype; the result is uint64."""
+    at a time."""
     a, b = np.broadcast_arrays(a, b)
-    dtype = kernel_dtype(mod)
-    out = np.empty(a.shape, dtype)
+    out = np.empty(a.shape, np.uint64)
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
-    tmp = np.empty(min(out.size, BLOCK_ELEMS), dtype)
+    tmp = np.empty(min(out.size, BLOCK_ELEMS), np.uint64)
     for start in range(0, out.size, BLOCK_ELEMS):
         block = slice(start, start + BLOCK_ELEMS)
-        x = flat_a[block].astype(dtype, copy=False)
-        y = flat_b[block].astype(dtype, copy=False)
+        x, y = flat_a[block], flat_b[block]
         core(x, y, mod, flat_out[block], tmp[:len(x)])
-    return out.astype(np.uint64, copy=False)
+    return out
 
 
 def barrett_mul_soft_batch(a, b, mod: Modulus) -> np.ndarray:
-    """Elementwise barrett_mul_soft over uint64 arrays."""
-    _require_batchable(mod)
+    """Elementwise barrett_mul_soft over uint64 arrays, up to 32 bits."""
+    if mod.k > 32:
+        raise ValueError("barrett_mul_soft_batch supports moduli up to 32 bits")
     return mul_blocks(barrett_mul_soft_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
 
 
 def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
     """Elementwise barrett_mul_hw over uint64 arrays."""
-    _require_batchable(mod)
     return mul_blocks(barrett_mul_hw_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
 

@@ -14,9 +14,8 @@ Array functions accept stacks of polynomials (shape (..., N)) and check
 once, on entry, that every value is reduced; inside the stage loop values
 stay reduced by construction. The batch is cut into row blocks of at
 most 2^16 values that stay in cache through all stages. Every stage runs
-the in-place butterfly kernels ct_stage/gs_stage, which the simulator's
-replay shares: on uint64 rows up to 32 bits, on rows of Python ints
-(converted once per block) above, through the same Barrett core.
+the in-place butterfly kernels ct_stage/gs_stage on uint64 rows, which
+the simulator's replay shares.
 """
 
 from dataclasses import dataclass
@@ -30,7 +29,6 @@ from nttsim.modarith import (
     barrett_mul_hw_into,
     check_reduced,
     half_mod_into,
-    kernel_dtype,
     mod_pow,
     mul_blocks,
     reduce_once_into,
@@ -129,8 +127,8 @@ def cached_twiddles(mod: Modulus, n: int) -> TwiddleTable:
 def ct_stage(u, v, w, mod: Modulus, s1, s2) -> None:
     """Cooley-Tukey butterflies, in place: (u, v) <- (u + w*v, u - w*v) mod q.
 
-    u, v and the scratch buffers s1, s2 share one shape and the kernel
-    dtype; w broadcasts to it. Operands must be reduced.
+    u, v and the scratch buffers s1, s2 share one shape, all uint64; w
+    broadcasts to it. Operands must be reduced.
     """
     q = mod.q
     barrett_mul_hw_into(v, w, mod, s1, s2)  # t = w*v
@@ -180,17 +178,12 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> No
     halves 0 and 1 of the (g, 2, N/2g) view of every row, with twiddle
     table[g + j] for group j. Stages whose groups hold at most 8
     butterflies pair the same halves in the transposed (N/2g, 2, g) view.
-    Above 32 bits each block runs on Python ints and is converted back at
-    its end.
     """
     rows, n = x.shape
-    dtype = kernel_dtype(tw.mod)
-    table = table.astype(dtype, copy=False)
     step = max(1, BLOCK_ELEMS // n)  # rows per cache block
-    scratch = np.empty((2, min(rows, step) * n // 2), dtype)
+    scratch = np.empty((2, min(rows, step) * n // 2), np.uint64)
     for start in range(0, rows, step):
-        view = x[start:start + step]
-        work = view.astype(dtype, copy=False)
+        work = x[start:start + step]
         r = len(work)
         s1, s2 = scratch[:, :r * n // 2]
         for g in groups:
@@ -201,8 +194,6 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> No
             shape = pairs.shape[:2] + pairs.shape[3:]
             butterfly(pairs[:, :, 0], pairs[:, :, 1], w, tw.mod,
                       s1.reshape(shape), s2.reshape(shape))
-        if work is not view:
-            view[...] = work
 
 
 def ntt_ct_array(values, tw: TwiddleTable) -> np.ndarray:
@@ -242,8 +233,9 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
 
     The double loop is vectorized over one axis: the slice of [-a | a]
     at offset n-shift is x^shift * a with the wrapped part already
-    negated. Reduction is deferred as far as uint64 headroom allows;
-    above 32 bits the reduce-every-shift loop runs on Python ints.
+    negated. Reduction is deferred as far as uint64 headroom allows.
+    This is the oracle the transforms are checked against, so it shares
+    no kernel with them.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
@@ -251,7 +243,9 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
         raise ValueError("operands must have equal shapes")
     n = a.shape[-1]
     q = mod.q
-    dtype = kernel_dtype(mod)
+    # the oracle's own choice: Python ints above 32 bits, where products
+    # leave a word
+    dtype = np.dtype(np.uint64) if mod.k <= 32 else np.dtype(object)
     a, b = a.astype(dtype, copy=False), b.astype(dtype, copy=False)
     q64 = dtype.type(q)
     neg_a = np.where(a == 0, a, q64 - a)
@@ -274,10 +268,8 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
         return (((acc_hi % q64) << 16) + acc_lo % q64) % q64
     acc = (a * b[..., 0:1]) % q64
     for shift in range(1, n):
-        rotated = doubled[..., n - shift:2 * n - shift]
-        term = (rotated * b[..., shift:shift + 1]) % q64
-        np.add(acc, term, out=acc)
-        reduce_once_into(acc, q, acc, term)
+        term = doubled[..., n - shift:2 * n - shift] * b[..., shift:shift + 1]
+        acc = (acc + term % q64) % q64
     return acc.astype(np.uint64, copy=False)
 
 

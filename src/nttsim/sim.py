@@ -54,7 +54,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from nttsim.layout import make_layout
-from nttsim.modarith import Modulus, check_reduced, kernel_dtype, ntt_modulus
+from nttsim.modarith import Modulus, check_reduced, ntt_modulus
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -521,17 +521,11 @@ def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
         return
     tw = cached_twiddles(mod, len(mem))
     table, butterfly = (tw.forward, ct_stage) if kind == "ntt" else (tw.inverse, gs_stage)
-    # above 32 bits the kernels run on Python ints
-    dtype = kernel_dtype(mod)
-    work = mem.astype(dtype, copy=False)
-    table = table.astype(dtype, copy=False)
-    scratch = np.empty((2, len(mem) // 2), dtype)
+    scratch = np.empty((2, len(mem) // 2), np.uint64)
     for r0, r1, w in stages:
-        u, v = work[r0], work[r1]
+        u, v = mem[r0], mem[r1]
         butterfly(u, v, table[w], mod, *scratch[:, :len(r0)])
-        work[r0], work[r1] = u, v
-    if work is not mem:
-        mem[...] = work
+        mem[r0], mem[r1] = u, v
 
 
 def _reference(op_kind, mod, a_coeffs, b_coeffs):

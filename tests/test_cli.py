@@ -88,6 +88,9 @@ class TestRejectedInput:
         (["sim", "--n", "16", "--npe", "2", "--q", "15"], "modulus 15 is not prime"),
         (["predict", "--n", "16", "--npe", "2", "--op", "polymul", "--layout", "diagonal"],
          "layout: invalid choice 'diagonal' (choose from shifted, sequential)"),
+        # a 63-bit prime, 1 mod 32: the uint64 Barrett kernels stop at 62 bits
+        (["sim", "--n", "16", "--npe", "2", "--q", "9223372036854775073", "--op", "polymul"],
+         "modulus 9223372036854775073 outside supported range [3, 2^62)"),
     ])
     def test_pinned_messages(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)
@@ -98,6 +101,13 @@ class TestRejectedInput:
         src.write_text("4 97\n1\n2\n98\n3\n")
         code, out, err = run_cli(["ntt", "--input", str(src)], capsys)
         assert (code, out, err) == (1, "", "error: coefficients not reduced mod 97\n")
+
+    def test_poly_file_63_bit_modulus(self, tmp_path, capsys):
+        src = tmp_path / "wide.poly"
+        src.write_text("4 9223372036854775073\n1\n2\n3\n4\n")
+        code, out, err = run_cli(["ntt", "--input", str(src)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: modulus 9223372036854775073 outside supported range [3, 2^62)\n"
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_closed_pipe(self, unbuffered):

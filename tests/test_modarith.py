@@ -27,6 +27,7 @@ from nttsim.modarith import (
     half_mod,
     is_prime,
     mod_pow,
+    ntt_modulus,
     step_multiply,
 )
 
@@ -52,6 +53,13 @@ class TestPrecompute:
     def test_rejects_below_floor(self):
         with pytest.raises(ValueError):
             barrett_precompute(2)
+
+    def test_rejects_63_bit_prime(self):
+        # 2^63 - 735 is prime and 1 mod 32, but its t4 < 3q leaves a word
+        q = 9223372036854775073
+        assert is_prime(q) and q.bit_length() == 63
+        with pytest.raises(ValueError, match=r"outside supported range \[3, 2\^62\)"):
+            barrett_precompute(q)
 
     def test_m_bit_length_is_k_plus_one(self):
         # m has exactly k+1 bits for every prime modulus
@@ -330,17 +338,40 @@ class TestProperties:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_scalar(self, data):
-        q = data.draw(st.sampled_from([17, 97, 7681, 12289, 65537]))
-        mod = barrett_precompute(q)
+        # the soft kernel stops at 32 bits; 33-62-bit moduli check hw only
+        mod = data.draw(st.one_of(
+            st.sampled_from([17, 97, 7681, 12289, 65537]).map(barrett_precompute),
+            st.integers(33, 62).map(lambda bits: ntt_modulus(bits, 64)),
+        ))
+        q = mod.q
         n = data.draw(st.integers(1, 64))
         gen = np.random.default_rng(data.draw(st.integers(0, 2**32)))
         a = gen.integers(0, q, size=n, dtype=np.uint64)
         b = gen.integers(0, q, size=n, dtype=np.uint64)
-        soft = barrett_mul_soft_batch(a, b, mod)
         hw = barrett_mul_hw_batch(a, b, mod)
+        soft = barrett_mul_soft_batch(a, b, mod) if mod.k <= 32 else None
         for i in range(n):
-            assert soft[i] == barrett_mul_soft(int(a[i]), int(b[i]), mod)
+            if soft is not None:
+                assert soft[i] == barrett_mul_soft(int(a[i]), int(b[i]), mod)
             assert hw[i] == barrett_mul_hw(int(a[i]), int(b[i]), mod)
+
+    @pytest.mark.parametrize("bits", [33, 40, 48, 61, 62])
+    def test_wide_batch_edge_operands(self, bits):
+        # every pair of edge values: both ends of the range, its middle and
+        # the 32-bit limb boundary, where the high-word carries happen
+        mod = ntt_modulus(bits, 64)
+        q = mod.q
+        assert mod.k == bits
+        edges = [0, 1, 2, q - 1, q - 2, 2**32 - 1, 2**32, 2**32 + 1, q // 2, (q + 1) // 2]
+        a = np.repeat(np.array(edges, dtype=np.uint64), len(edges))
+        b = np.tile(np.array(edges, dtype=np.uint64), len(edges))
+        hw = barrett_mul_hw_batch(a, b, mod).tolist()
+        for x, y, got in zip(a.tolist(), b.tolist(), hw):
+            assert got == mulmod_oracle(x, y, q) == barrett_mul_hw(x, y, mod)
+
+    def test_soft_batch_stops_at_32_bits(self):
+        with pytest.raises(ValueError, match="up to 32 bits"):
+            barrett_mul_soft_batch([1], [2], ntt_modulus(33, 64))
 
 
 class TestModulusInvariants:
