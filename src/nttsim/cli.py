@@ -5,7 +5,7 @@ sim (cycle-accurate replay), schedule dump (trace CSV), layout-check
 (bank-conflict audit) and predict (closed-form cycle count).
 
 Options may come from a flat key=value config file (one nesting level
-for the pipeline profile, e.g. ``pipeline.delay_read``); command-line
+for the pipeline profile, as in ``pipeline.delay_read``); command-line
 flags override file values, and both are checked alike. Identical
 config and seed produce byte-identical output.
 
@@ -95,7 +95,7 @@ def _pipeline(opts: Options):
 def _moduli(opts: Options, n: int) -> List[Modulus]:
     if opts.q is not None:
         primes = [int(x) for x in str(opts.q).split(",")]
-        return [barrett_precompute(p).with_root() for p in primes]
+        return [barrett_precompute(p) for p in primes]
     bits = opts.q_bits
     if bits is None:
         raise ValueError("either --q or --q-bits is required")
@@ -126,16 +126,16 @@ def _load_or_generate(opts: Options, which: str, stream) -> Polynomial:
             return read_polynomial(fh)
     if opts.n is None:
         raise ValueError(f"--n is required when no {which} file is given")
-    mod = _moduli(opts, opts.n)[0]
-    return random_polynomial(mod, opts.n, opts.seed, stream)
+    moduli = _moduli(opts, opts.n)
+    if len(moduli) != 1:
+        raise ValueError(f"{opts.command} takes one modulus, got {len(moduli)}")
+    return random_polynomial(moduli[0], opts.n, opts.seed, stream)
 
 
 def _cmd_transform(opts: Options) -> int:
     stream = splitmix64(opts.seed)
     poly = _load_or_generate(opts, "input", stream)
-    mod = poly.mod.with_root()
-    poly = Polynomial(poly.coeffs, mod)
-    tw = cached_twiddles(mod, poly.n)
+    tw = cached_twiddles(poly.mod, poly.n)
     if opts.command == "ntt":
         result = ntt_ct(poly, tw)
     else:
@@ -152,8 +152,7 @@ def _cmd_polymul(opts: Options) -> int:
     b = _load_or_generate(opts, "input_b", stream)
     if a.mod.q != b.mod.q or a.n != b.n:
         raise ValueError("operand files disagree on N or q")
-    mod = a.mod.with_root()
-    product = polymul_ntt(Polynomial(a.coeffs, mod), Polynomial(b.coeffs, mod), mod)
+    product = polymul_ntt(a, b, a.mod)
     buf = io.StringIO()
     write_polynomial(product, buf)
     _write_output(buf.getvalue(), opts.output)

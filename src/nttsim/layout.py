@@ -7,8 +7,8 @@ matrix is rotated right by r banks:
 
 so a coefficient never shares a bank with any partner at power-of-two
 distance, which is exactly the set of butterfly pairings. The plain
-row-major placement ("sequential") is kept around as the counterexample
-the detectors must flag.
+row-major placement ("sequential"), the same rule without the rotation,
+is kept around as the counterexample the detectors must flag.
 """
 
 import json
@@ -17,7 +17,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-KINDS = ("shifted", "sequential")
+# row r is rotated right by rotation * r banks (see LayoutMap)
+_ROTATION = {"shifted": 1, "sequential": 0}
+KINDS = tuple(_ROTATION)
 
 
 def _sqrt_banks(n_total: int) -> int:
@@ -33,50 +35,48 @@ def _sqrt_banks(n_total: int) -> int:
 
 def place(i: int, n: int) -> Tuple[int, int]:
     """Shifted placement of coefficient i into (address, bank)."""
-    if not 0 <= i < n * n:
-        raise ValueError(f"coefficient index {i} outside [0, {n * n})")
-    addr = i // n
-    return addr, (i % n + addr) % n
+    return LayoutMap(n * n, n).place(i)
 
 
 def coefficient_at(addr: int, bank: int, n: int) -> int:
     """Inverse of place: which coefficient sits in (address, bank)."""
-    if not (0 <= addr < n and 0 <= bank < n):
-        raise ValueError(f"cell ({addr}, {bank}) outside the {n}x{n} memory")
-    return addr * n + (bank - addr) % n
+    return LayoutMap(n * n, n).coefficient_at(addr, bank)
 
 
 @dataclass(frozen=True)
 class LayoutMap:
-    """Bijection between coefficient indices and (address, bank) cells."""
+    """Bijection between coefficient indices and (address, bank) cells:
+    (address, bank) = (i // n, (i mod n + r * (i // n)) mod n), where the
+    rotation r is 1 for the shifted kind and 0 for the sequential one."""
 
     N: int
     n: int
     kind: str = "shifted"
 
+    @property
+    def rotation(self) -> int:
+        return _ROTATION[self.kind]
+
     def place(self, i: int) -> Tuple[int, int]:
-        if self.kind == "sequential":
-            if not 0 <= i < self.N:
-                raise ValueError(f"coefficient index {i} outside [0, {self.N})")
-            return i // self.n, i % self.n
-        return place(i, self.n)
+        n = self.n
+        if not 0 <= i < self.N:
+            raise ValueError(f"coefficient index {i} outside [0, {self.N})")
+        return i // n, (i + self.rotation * (i // n)) % n
 
     def coefficient_at(self, addr: int, bank: int) -> int:
-        if self.kind == "sequential":
-            if not (0 <= addr < self.n and 0 <= bank < self.n):
-                raise ValueError(f"cell ({addr}, {bank}) out of range")
-            return addr * self.n + bank
-        return coefficient_at(addr, bank, self.n)
+        n = self.n
+        if not (0 <= addr < n and 0 <= bank < n):
+            raise ValueError(f"cell ({addr}, {bank}) outside the {n}x{n} memory")
+        return addr * n + (bank - self.rotation * addr) % n
 
     def banks_of(self, indices: np.ndarray) -> np.ndarray:
         """Vectorized bank numbers for an index array."""
         indices = np.asarray(indices)
-        if self.kind == "sequential":
-            return indices % self.n
-        return (indices % self.n + indices // self.n) % self.n
+        return (indices + self.rotation * (indices // self.n)) % self.n
 
-    def addresses_of(self, indices: np.ndarray) -> np.ndarray:
-        return np.asarray(indices) // self.n
+    def cells(self, indices: np.ndarray) -> np.ndarray:
+        """Flat memory cells (bank * n + address) for an index array."""
+        return self.banks_of(indices) * self.n + np.asarray(indices) // self.n
 
 
 def make_layout(n_total: int, kind: str = "shifted") -> LayoutMap:

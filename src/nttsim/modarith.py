@@ -17,7 +17,7 @@ plain one up to 32 bits; the exhaustive test sweeps use them.
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -63,20 +63,13 @@ class Modulus:
     """A prime modulus with its precomputed Barrett constants.
 
     k is the bit count ceil(log2 q), m = floor(2^(2k) / q) and always has
-    exactly k+1 bits. g is a primitive root and two_n the 2N value the
-    prime was generated for; both stay None until needed.
+    exactly k+1 bits. Everything else a transform needs, the primitive
+    root included, follows from q and is derived by ntt.gen_twiddles.
     """
 
     q: int
     k: int
     m: int
-    g: Optional[int] = None
-    two_n: Optional[int] = None
-
-    def with_root(self) -> "Modulus":
-        if self.g is not None:
-            return self
-        return replace(self, g=find_primitive_root(self.q))
 
 
 class WordProduct(NamedTuple):
@@ -108,15 +101,15 @@ def _constants(q: int) -> Modulus:
 
 
 def barrett_precompute(q: int, two_n: Optional[int] = None) -> Modulus:
-    """Validate a prime and derive its Barrett constants."""
+    """Validate a prime, and q = 1 mod two_n if given; derive its Barrett
+    constants."""
     if not 3 <= q < 2**62:
         raise ValueError(f"modulus {q} outside supported range [3, 2^62)")
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     if two_n is not None and q % two_n != 1:
         raise ValueError(f"{q} is not congruent to 1 mod {two_n}")
-    mod = _constants(q)
-    return replace(mod, two_n=two_n)
+    return _constants(q)
 
 
 def _check_operands(a: int, b: int, q: int) -> None:
@@ -139,26 +132,7 @@ def barrett_mul_soft(a: int, b: int, mod: Modulus) -> int:
 
     Reference variant: single conditional subtraction at the end.
     """
-    _check_operands(a, b, mod.q)
-    t1 = a * b
-    t4 = t1 - ((t1 * mod.m) >> (2 * mod.k)) * mod.q
-    return t4 - mod.q if t4 >= mod.q else t4
-
-
-def split_width(k: int, width: Optional[int] = None) -> int:
-    """Step-multiplier width able to hold the (k+1)-bit intermediates.
-
-    The configured width is used as-is when k <= width - 2; otherwise it
-    widens to the smallest even width >= k + 2, matching the inclusive
-    MSB segment of the hardware splitter.
-    """
-    if width is None:
-        width = DEFAULT_STEP_WIDTH
-    if width % 2:
-        raise ValueError("split width must be even")
-    if k <= width - 2:
-        return width
-    return (k + 3) & ~1
+    return barrett_mul_soft_trace(a, b, mod).z
 
 
 def step_multiply(a: int, b: int, width: int = DEFAULT_STEP_WIDTH) -> WordProduct:
@@ -179,9 +153,12 @@ def step_multiply(a: int, b: int, width: int = DEFAULT_STEP_WIDTH) -> WordProduc
     return WordProduct(lo=value & (bound - 1), hi=value >> width, width=width)
 
 
-def _hw_pipeline(a: int, b: int, mod: Modulus, width: Optional[int]) -> BarrettTrace:
-    w = split_width(mod.k, width)
+def barrett_mul_hw_trace(a: int, b: int, mod: Modulus) -> BarrettTrace:
+    _check_operands(a, b, mod.q)
     q, k, m = mod.q, mod.k, mod.m
+    # the default step width holds the (k+1)-bit intermediates up to k = 30;
+    # wider, the smallest even width >= k + 2 (inclusive MSB segment)
+    w = max(DEFAULT_STEP_WIDTH, (k + 3) & ~1)
     t1 = step_multiply(a, b, w).value
     t1_high = t1 >> (k - 1)
     t2 = step_multiply(t1_high, m, w).value >> (k + 1)
@@ -197,14 +174,7 @@ def _hw_pipeline(a: int, b: int, mod: Modulus, width: Optional[int]) -> BarrettT
     return BarrettTrace(t1, t2, t3, t4, z)
 
 
-def barrett_mul_hw_trace(
-    a: int, b: int, mod: Modulus, width: Optional[int] = None
-) -> BarrettTrace:
-    _check_operands(a, b, mod.q)
-    return _hw_pipeline(a, b, mod, width)
-
-
-def barrett_mul_hw(a: int, b: int, mod: Modulus, width: Optional[int] = None) -> int:
+def barrett_mul_hw(a: int, b: int, mod: Modulus) -> int:
     """(a * b) mod q via the shift-early pipeline and two-step ladder.
 
     The product is shifted right by k-1 before the reciprocal multiply, so
@@ -212,8 +182,7 @@ def barrett_mul_hw(a: int, b: int, mod: Modulus, width: Optional[int] = None) ->
     The quotient estimate can be one short of the plain variant's, hence
     the subtract-2q-else-q ladder and the t4 < 3q guarantee.
     """
-    _check_operands(a, b, mod.q)
-    return _hw_pipeline(a, b, mod, width).z
+    return barrett_mul_hw_trace(a, b, mod).z
 
 
 def half_mod(x: int, q: int) -> int:
@@ -316,9 +285,10 @@ def find_ntt_prime(bits: int, n: int, index: int = 0) -> int:
 
 
 def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
-    """A transform-ready modulus: prime, constants and primitive root."""
+    """A transform-ready modulus: a prime q = 1 mod 2N and its Barrett
+    constants, from which gen_twiddles derives the N-point tables."""
     q = find_ntt_prime(bits, n, index)
-    return barrett_precompute(q, two_n=2 * n).with_root()
+    return barrett_precompute(q, two_n=2 * n)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from nttsim.modarith import (
     Modulus,
     barrett_mul_hw_into,
     check_reduced,
+    find_primitive_root,
     half_mod_into,
     mod_pow,
     mul_blocks,
@@ -89,14 +90,13 @@ class TwiddleTable:
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
-    """Derive psi = g^((q-1)/2N) and lay out both twiddle tables."""
+    """Derive psi = g^((q-1)/2N), g the smallest primitive root mod q, and
+    lay out both twiddle tables. The only code that needs g."""
     bits = _check_power_of_two(n)
     q = mod.q
     if q % (2 * n) != 1:
         raise ValueError(f"q={q} is not congruent to 1 mod {2 * n}")
-    if mod.g is None:
-        raise ValueError("modulus has no primitive root; call with_root()")
-    psi = mod_pow(mod.g, (q - 1) // (2 * n), mod)
+    psi = mod_pow(find_primitive_root(q), (q - 1) // (2 * n), mod)
     psi_inv = mod_pow(psi, q - 2, mod)
     assert mod_pow(psi, n, mod) == q - 1, "psi is not a primitive 2N-th root"
     pows, inv_pows = [1], [1]
@@ -113,7 +113,7 @@ _twiddle_cache: dict = {}
 
 
 def cached_twiddles(mod: Modulus, n: int) -> TwiddleTable:
-    key = (mod.q, mod.g, n)
+    key = (mod.q, n)
     table = _twiddle_cache.get(key)
     if table is None:
         table = _twiddle_cache[key] = gen_twiddles(mod, n)
@@ -299,7 +299,7 @@ def pointwise_mul(a: Polynomial, b: Polynomial, mod: Modulus) -> Polynomial:
 
 def polymul_ntt(a: Polynomial, b: Polynomial, mod: Modulus) -> Polynomial:
     _matched(a, b, mod)
-    tw = cached_twiddles(mod.with_root() if mod.g is None else mod, a.n)
+    tw = cached_twiddles(mod, a.n)
     return Polynomial(polymul_ntt_array(a.coeffs, b.coeffs, tw), a.mod)
 
 

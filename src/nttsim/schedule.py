@@ -29,6 +29,9 @@ from nttsim.layout import make_layout
 
 OP_KINDS = ("ntt", "intt", "mult")
 
+# bound on setup cycles and every delay; cycle sums stay far inside int64
+MAX_CYCLES = 1 << 32
+
 Cell = Tuple[int, int]  # (bank, address)
 
 
@@ -49,6 +52,8 @@ class PipelineConfig:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
+            if getattr(self, f.name) >= MAX_CYCLES:
+                raise ValueError(f"{f.name} must be below 2^32")
 
     def delay_pe(self, op_kind: str) -> int:
         if op_kind == "ntt":
@@ -195,11 +200,7 @@ def build_schedule(
     if op_kind not in OP_KINDS:
         raise ValueError(f"unknown op kind {op_kind!r}; expected one of {OP_KINDS}")
     n = validate_geometry(n_total, npe)
-    layout = make_layout(n_total, layout_kind)
-
-    def cells(indices):
-        return layout.banks_of(indices) * n + layout.addresses_of(indices)
-
+    cells = make_layout(n_total, layout_kind).cells
     if op_kind == "mult":
         index = np.arange(n_total, dtype=np.int32)
         cell = cells(index)

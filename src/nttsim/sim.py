@@ -4,7 +4,7 @@ Timing contract (walked by detect_hazards, the only code that times a
 trace):
 
 - Issue groups execute in trace order; the first issues at cycle
-  ``setup_cycles``.
+  ``setup_cycles``, which like every delay lies in [0, 2^32).
 - A butterfly issued at cycle c retires its writes at c + D where
   D = delay_read + delay_pe + delay_write; the written cells become
   readable at c + D + 1 (a value cannot be read in the cycle its write
@@ -66,6 +66,7 @@ from nttsim.ntt import (
 )
 from nttsim.rns import RnsPolynomial
 from nttsim.schedule import (
+    MAX_CYCLES,
     PROFILES,
     PipelineConfig,
     ScheduleTrace,
@@ -143,6 +144,8 @@ HAZARD_POLICIES = ("stall", "fail-fast")
 def _check_setup(setup_cycles: int) -> None:
     if setup_cycles < 0:
         raise ValueError(f"setup cycles must be nonnegative, got {setup_cycles}")
+    if setup_cycles >= MAX_CYCLES:
+        raise ValueError(f"setup cycles must be below 2^32, got {setup_cycles}")
 
 
 def _check_policy(policy: str) -> None:
@@ -404,11 +407,10 @@ def make_sim_config(
         moduli = [ntt_modulus(q_bits, n_total, i) for i in range(n_q)]
     if not moduli:
         raise ValueError("at least one modulus is required")
-    moduli = tuple(m.with_root() for m in moduli)
     return SimConfig(
         N=n_total,
         npe=npe,
-        moduli=moduli,
+        moduli=tuple(moduli),
         pipeline=pipeline,
         setup_cycles=setup_cycles,
         hazard_policy=hazard_policy,
@@ -582,10 +584,8 @@ def run(
         raise ValueError(f"op {op!r} needs a second operand")
 
     sequence = POLYMUL_SEQUENCE if op == "polymul" else (op,)
-    layout = make_layout(config.N, config.layout_kind)
-    index = np.arange(config.N)
     # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
-    cells = layout.banks_of(index) * layout.n + layout.addresses_of(index)
+    cells = make_layout(config.N, config.layout_kind).cells(np.arange(config.N))
     held = np.argsort(cells)  # the coefficient each cell holds
     mem_a = [coeffs[held] for coeffs in a_chan]
     mem_b = [coeffs[held] for coeffs in b_chan or []]

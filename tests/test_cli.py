@@ -91,6 +91,24 @@ class TestRejectedInput:
         # a 63-bit prime, 1 mod 32: the uint64 Barrett kernels stop at 62 bits
         (["sim", "--n", "16", "--npe", "2", "--q", "9223372036854775073", "--op", "polymul"],
          "modulus 9223372036854775073 outside supported range [3, 2^62)"),
+        # setup cycles and pipeline delays stop below 2^32, far inside the
+        # int64 cycle columns, which they would otherwise wrap or overflow
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--profile", "ideal",
+          "--setup-cycles", "9223372036854775800", "--format", "text"],
+         "setup cycles must be below 2^32, got 9223372036854775800"),
+        (["predict", "--n", "16", "--npe", "2", "--profile", "ideal",
+          "--setup-cycles", "9223372036854775800"],
+         "setup cycles must be below 2^32, got 9223372036854775800"),
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--setup-cycles", "10" + "0" * 21],
+         "setup cycles must be below 2^32, got 10" + "0" * 21),
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--delay-pe-ntt", "4294967296"],
+         "delay_pe_ntt must be below 2^32"),
+        (["predict", "--n", "16", "--npe", "2", "--delay-read", "10" + "0" * 21],
+         "delay_read must be below 2^32"),
+        # the single-modulus commands use no second prime, so they refuse one
+        (["ntt", "--n", "16", "--q", "97,193"], "ntt takes one modulus, got 2"),
+        (["polymul", "--n", "16", "--q", "97,193"], "polymul takes one modulus, got 2"),
+        (["ntt", "--n", "16", "--q-bits", "14", "--nq", "3"], "ntt takes one modulus, got 3"),
     ])
     def test_pinned_messages(self, capsys, args, message):
         code, out, err = run_cli(args, capsys)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from nttsim.layout import (
@@ -87,6 +88,29 @@ class TestLayoutMap:
     def test_rejects_non_power(self):
         with pytest.raises(ValueError):
             make_layout(100)
+
+
+class TestBothKinds:
+    @pytest.mark.parametrize("kind", ["shifted", "sequential"])
+    @pytest.mark.parametrize("n_total", [16, 64, 256, 1024])
+    def test_place_inverse_and_cells_agree(self, n_total, kind):
+        layout = make_layout(n_total, kind)
+        n = layout.n
+        rotation = 1 if kind == "shifted" else 0
+        placed = [layout.place(i) for i in range(n_total)]
+        assert placed == [(i // n, (i % n + rotation * (i // n)) % n) for i in range(n_total)]
+        assert [layout.coefficient_at(a, b) for a, b in placed] == list(range(n_total))
+        cells = layout.cells(np.arange(n_total)).tolist()
+        assert cells == [bank * n + addr for addr, bank in placed]
+        assert sorted(cells) == list(range(n_total))
+
+    @pytest.mark.parametrize("kind", ["shifted", "sequential"])
+    def test_out_of_range(self, kind):
+        layout = make_layout(16, kind)
+        with pytest.raises(ValueError, match=r"outside \[0, 16\)"):
+            layout.place(16)
+        with pytest.raises(ValueError, match="outside the 4x4 memory"):
+            layout.coefficient_at(0, 4)
 
 
 class TestConflictFreedom:

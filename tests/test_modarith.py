@@ -4,6 +4,7 @@ Expected values are frozen from independent oracles: wide-integer
 multiply-then-remainder, exhaustive order checks, and a prime sieve.
 """
 
+import dataclasses
 import math
 import random
 
@@ -380,9 +381,11 @@ class TestModulusInvariants:
         with pytest.raises(AttributeError):
             mod.q = 19
 
-    def test_with_root(self):
+    def test_state_is_q_k_m(self):
+        # a modulus is its prime and Barrett constants, nothing else: the
+        # 2N a prime was generated for is checked, never stored
+        assert [f.name for f in dataclasses.fields(Modulus)] == ["q", "k", "m"]
         mod = modarith.ntt_modulus(14, 1024)
-        assert mod.q == 12289
-        assert mod.two_n == 2048
-        assert mod.g is not None
-        assert mod_pow(mod.g, mod.q - 1, mod) == 1
+        assert mod == barrett_precompute(12289) == barrett_precompute(12289, 2048)
+        with pytest.raises(ValueError, match="not congruent to 1 mod 8192"):
+            barrett_precompute(12289, 8192)

@@ -12,6 +12,7 @@ import pytest
 
 from nttsim.modarith import barrett_precompute, ntt_modulus
 from nttsim import ntt
+from nttsim.rns import RnsBasis
 from nttsim.ntt import (
     Polynomial,
     TwiddleTable,
@@ -35,7 +36,7 @@ from conftest import (
     negacyclic_schoolbook_oracle,
 )
 
-Q17 = barrett_precompute(17, two_n=8).with_root()
+Q17 = barrett_precompute(17, two_n=8)
 
 
 def poly17(coeffs):
@@ -45,7 +46,6 @@ def poly17(coeffs):
 class TestTwiddles:
     def test_psi_for_q17_n4(self):
         tw = gen_twiddles(Q17, 4)
-        assert Q17.g == 3
         assert tw.psi == 9  # 3^((17-1)/8)
         assert pow(9, 4, 17) == 16  # psi^N = q - 1
         assert (tw.psi * tw.psi_inv) % 17 == 1
@@ -63,9 +63,34 @@ class TestTwiddles:
             assert tw.forward.tolist() != tw.inverse.tolist()
 
     def test_rejects_bad_congruence(self):
-        mod = barrett_precompute(7).with_root()
+        mod = barrett_precompute(7)
         with pytest.raises(ValueError):
             gen_twiddles(mod, 4)
+
+    @pytest.mark.parametrize("bits,n,q,psi", [
+        (14, 1024, 12289, 1945),
+        (32, 4096, 4294828033, 567303915),
+        (40, 1024, 1099511592961, 725937910219),
+        (62, 256, 4611686018427379201, 409530867512150121),
+    ])
+    def test_psi_pinned(self, bits, n, q, psi):
+        # psi = g^((q-1)/2N) for the smallest primitive root g; every
+        # transform output of the CLI depends on this choice
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        assert (mod.q, tw.psi) == (q, psi)
+        assert pow(psi, n, q) == q - 1
+
+    def test_any_modulus_of_a_prime_is_transform_ready(self, rng):
+        # no root step between barrett_precompute and the transforms
+        tw = ntt.cached_twiddles(barrett_precompute(7681), 256)
+        assert pow(tw.psi, 256, 7681) == 7680
+        basis = RnsBasis.from_primes([7681, 12289], two_n=512)
+        for mod in basis.moduli:
+            a = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)
+            b = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)
+            want = schoolbook_negacyclic(a, b, mod).to_ints()
+            assert polymul_ntt(a, b, mod).to_ints() == want
 
     def test_roundtrip_identity(self, rng):
         for n in (4, 16, 64):

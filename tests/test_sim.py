@@ -708,6 +708,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="setup cycles"):
             detect_hazards(build_schedule(16, 2, "ntt"), PROFILES["q32"], setup_cycles=-5)
 
+    def test_largest_setup_times_exactly(self):
+        # 2^32 - 1 setup cycles still fit the int64 cycle columns
+        top = 2**32 - 1
+        cfg = make_sim_config(1024, 8, q_bits=14, profile="q14", setup_cycles=top)
+        mod = cfg.moduli[0]
+        report = run(cfg, random_poly(mod, 1024, 26), random_poly(mod, 1024, 27), op="polymul")
+        assert report.stall_cycles == 0
+        assert report.total_cycles == report.predicted
+        assert report.predicted == predicted_cycles(1024, 8, PROFILES["q14"], top, "polymul")
+        assert report.predicted == predicted_cycles(1024, 8, PROFILES["q14"], 0, "polymul") + 4 * top
+        assert PipelineConfig(top, top, top, top).total_delay("intt") == 3 * top + 1
+
+    @pytest.mark.parametrize("value", [2**32, 10**21])
+    def test_rejects_cycle_inputs_from_2_32(self, value):
+        with pytest.raises(ValueError, match=r"setup cycles must be below 2\^32"):
+            make_sim_config(16, 2, q_bits=14, setup_cycles=value)
+        with pytest.raises(ValueError, match=r"setup cycles must be below 2\^32"):
+            predicted_cycles(16, 2, PROFILES["ideal"], value, "ntt")
+        with pytest.raises(ValueError, match=r"setup cycles must be below 2\^32"):
+            detect_hazards(build_schedule(16, 2, "ntt"), PROFILES["ideal"], setup_cycles=value)
+        with pytest.raises(ValueError, match=r"delay_pe_mult must be below 2\^32"):
+            PipelineConfig(0, 0, 0, value)
+
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown hazard policy"):
             make_sim_config(16, 2, q_bits=14, hazard_policy="failfast")
