@@ -23,10 +23,10 @@ import argparse
 import io
 import sys
 from dataclasses import fields, replace
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 from nttsim.layout import KINDS, verify_conflict_free
-from nttsim.modarith import Modulus, barrett_precompute, ntt_modulus
+from nttsim.modarith import Modulus, barrett_precompute
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -36,7 +36,7 @@ from nttsim.ntt import (
     read_polynomial,
     write_polynomial,
 )
-from nttsim.rns import RnsBasis, decompose
+from nttsim.rns import RnsBasis, decompose, gen_basis
 from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, export_csv
 from nttsim.sim import (
     HAZARD_POLICIES,
@@ -92,16 +92,15 @@ def _pipeline(opts: Options):
     return pipe, name
 
 
-def _moduli(opts: Options, n: int) -> List[Modulus]:
+def _moduli(opts: Options, n: int) -> Sequence[Modulus]:
     if opts.q is not None:
+        if opts.q_bits is not None or opts.nq != 1:
+            raise ValueError("--q lists the moduli; it takes no --q-bits or --nq")
         primes = [int(x) for x in str(opts.q).split(",")]
         return [barrett_precompute(p) for p in primes]
-    bits = opts.q_bits
-    if bits is None:
+    if opts.q_bits is None:
         raise ValueError("either --q or --q-bits is required")
-    if opts.nq < 1:
-        raise ValueError(f"--nq must be at least 1, got {opts.nq}")
-    return [ntt_modulus(bits, n, i) for i in range(opts.nq)]
+    return gen_basis(opts.q_bits, opts.nq, n).moduli
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -120,16 +119,26 @@ def _write_output(text: str, path: Optional[str]) -> None:
 
 
 def _load_or_generate(opts: Options, which: str, stream) -> Polynomial:
-    path = opts[which]
-    if path is not None:
-        with open(path) as fh:
-            return read_polynomial(fh)
-    if opts.n is None:
+    poly = None
+    if opts[which] is not None:
+        with open(opts[which]) as fh:
+            poly = read_polynomial(fh)
+        # the file fixes N and q; flags may repeat them but not change them
+        if opts.n not in (None, poly.n):
+            raise ValueError(f"file N={poly.n} does not match --n {opts.n}")
+        if opts.q is None and opts.q_bits is None:
+            return poly
+    n = opts.n if poly is None else poly.n
+    if n is None:
         raise ValueError(f"--n is required when no {which} file is given")
-    moduli = _moduli(opts, opts.n)
+    moduli = _moduli(opts, n)
     if len(moduli) != 1:
         raise ValueError(f"{opts.command} takes one modulus, got {len(moduli)}")
-    return random_polynomial(moduli[0], opts.n, opts.seed, stream)
+    if poly is None:
+        return random_polynomial(moduli[0], n, opts.seed, stream)
+    if moduli[0].q != poly.mod.q:
+        raise ValueError(f"file modulus {poly.mod.q} does not match expected {moduli[0].q}")
+    return poly
 
 
 def _cmd_transform(opts: Options) -> int:
@@ -360,6 +369,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -94,12 +94,6 @@ class BarrettTrace(NamedTuple):
     z: int
 
 
-def _constants(q: int) -> Modulus:
-    """Barrett constants without the primality check (internal)."""
-    k = q.bit_length()
-    return Modulus(q=q, k=k, m=(1 << (2 * k)) // q)
-
-
 def barrett_precompute(q: int, two_n: Optional[int] = None) -> Modulus:
     """Validate a prime, and q = 1 mod two_n if given; derive its Barrett
     constants."""
@@ -109,7 +103,8 @@ def barrett_precompute(q: int, two_n: Optional[int] = None) -> Modulus:
         raise ValueError(f"modulus {q} is not prime")
     if two_n is not None and q % two_n != 1:
         raise ValueError(f"{q} is not congruent to 1 mod {two_n}")
-    return _constants(q)
+    k = q.bit_length()
+    return Modulus(q=q, k=k, m=(1 << (2 * k)) // q)
 
 
 def _check_operands(a: int, b: int, q: int) -> None:
@@ -194,18 +189,6 @@ def half_mod(x: int, q: int) -> int:
     return x >> 1
 
 
-def mod_pow(base: int, exp: int, mod: Modulus) -> int:
-    """base^exp mod q by square-and-multiply over barrett_mul_soft."""
-    result = 1 % mod.q
-    acc = base % mod.q
-    while exp:
-        if exp & 1:
-            result = barrett_mul_soft(result, acc, mod)
-        acc = barrett_mul_soft(acc, acc, mod)
-        exp >>= 1
-    return result
-
-
 def _pollard_rho(x: int) -> int:
     """One nontrivial factor of composite odd x."""
     if x % 2 == 0:
@@ -247,13 +230,12 @@ def _factorize(x: int) -> set:
 
 
 def find_primitive_root(q: int) -> int:
-    """Smallest generator of Z_q^* (q prime)."""
+    """Smallest generator of Z_q^* (q prime), tested with builtin pow."""
     if q == 2:
         return 1
-    mod = _constants(q)
     cofactors = [(q - 1) // p for p in _factorize(q - 1)]
     for g in range(2, q):
-        if all(mod_pow(g, e, mod) != 1 for e in cofactors):
+        if all(pow(g, e, q) != 1 for e in cofactors):
             return g
     raise ValueError(f"no primitive root found for {q}")
 

@@ -30,18 +30,9 @@ from nttsim.modarith import (
     check_reduced,
     find_primitive_root,
     half_mod_into,
-    mod_pow,
     mul_blocks,
     reduce_once_into,
 )
-
-
-def _bit_reverse(x: int, bits: int) -> int:
-    y = 0
-    for _ in range(bits):
-        y = (y << 1) | (x & 1)
-        x >>= 1
-    return y
 
 
 def _check_power_of_two(n: int) -> int:
@@ -90,22 +81,25 @@ class TwiddleTable:
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
-    """Derive psi = g^((q-1)/2N), g the smallest primitive root mod q, and
-    lay out both twiddle tables. The only code that needs g."""
+    """Derive psi = g^((q-1)/2N) by builtin pow, g the smallest primitive root
+    mod q, and lay out both tables in bit-reversed order. The only user of g."""
     bits = _check_power_of_two(n)
     q = mod.q
     if q % (2 * n) != 1:
         raise ValueError(f"q={q} is not congruent to 1 mod {2 * n}")
-    psi = mod_pow(find_primitive_root(q), (q - 1) // (2 * n), mod)
-    psi_inv = mod_pow(psi, q - 2, mod)
-    assert mod_pow(psi, n, mod) == q - 1, "psi is not a primitive 2N-th root"
+    psi = pow(find_primitive_root(q), (q - 1) // (2 * n), q)
+    psi_inv = pow(psi, -1, q)
+    assert pow(psi, n, q) == q - 1, "psi is not a primitive 2N-th root"
     pows, inv_pows = [1], [1]
     for _ in range(n - 1):
         pows.append(pows[-1] * psi % q)
         inv_pows.append(inv_pows[-1] * psi_inv % q)
-    order = [_bit_reverse(j, bits) for j in range(n)]
-    forward = np.array([pows[i] for i in order], dtype=np.uint64)
-    inverse = np.array([inv_pows[i] for i in order], dtype=np.uint64)
+    # reversing b + 1 bits moves the new top bit to bit 0
+    order = np.zeros(1, np.intp)
+    for _ in range(bits):
+        order = np.concatenate([2 * order, 2 * order + 1])
+    forward = np.array(pows, dtype=np.uint64)[order]
+    inverse = np.array(inv_pows, dtype=np.uint64)[order]
     return TwiddleTable(forward, inverse, psi, psi_inv, mod, n)
 
 

@@ -66,16 +66,11 @@ class RnsPolynomial:
 
 
 def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
-    """Deterministic chain of n_q primes below 2^word_bits, each
-    congruent to 1 mod 2N."""
+    """The n_q largest primes below 2^word_bits congruent to 1 mod 2N: the
+    one prime chain, which the simulator config and the CLI also use."""
     if n_q < 1:
-        raise ValueError("n_q must be at least 1")
-    try:
-        moduli = [ntt_modulus(word_bits, n, i) for i in range(n_q)]
-    except ValueError as exc:
-        raise ValueError(
-            f"cannot build {n_q} primes below 2^{word_bits} for N={n}: {exc}"
-        ) from exc
+        raise ValueError("at least one modulus is required")
+    moduli = [ntt_modulus(word_bits, n, i) for i in range(n_q)]
     return RnsBasis.from_moduli(moduli)
 
 

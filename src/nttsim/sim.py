@@ -54,7 +54,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from nttsim.layout import make_layout
-from nttsim.modarith import Modulus, check_reduced, ntt_modulus
+from nttsim.modarith import Modulus, check_reduced
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -64,7 +64,7 @@ from nttsim.ntt import (
     ntt_ct_array,
     pointwise_mul_array,
 )
-from nttsim.rns import RnsPolynomial
+from nttsim.rns import RnsPolynomial, gen_basis
 from nttsim.schedule import (
     MAX_CYCLES,
     PROFILES,
@@ -404,7 +404,7 @@ def make_sim_config(
     if moduli is None:
         if q_bits is None:
             raise ValueError("either q_bits or explicit moduli are required")
-        moduli = [ntt_modulus(q_bits, n_total, i) for i in range(n_q)]
+        moduli = gen_basis(q_bits, n_q, n_total).moduli
     if not moduli:
         raise ValueError("at least one modulus is required")
     return SimConfig(

@@ -12,8 +12,13 @@ import sys
 import pytest
 
 import nttsim
+from nttsim import cli
 from nttsim.cli import main, random_polynomial, splitmix64
 from nttsim.modarith import barrett_precompute
+
+
+# 16 coefficients mod 16193 = ntt_modulus(14, 16)
+A_POLY = "16 16193\n" + "".join(f"{i}\n" for i in range(16))
 
 
 def run_cli(args, capsys):
@@ -109,10 +114,50 @@ class TestRejectedInput:
         (["ntt", "--n", "16", "--q", "97,193"], "ntt takes one modulus, got 2"),
         (["polymul", "--n", "16", "--q", "97,193"], "polymul takes one modulus, got 2"),
         (["ntt", "--n", "16", "--q-bits", "14", "--nq", "3"], "ntt takes one modulus, got 3"),
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--nq", "0"],
+         "at least one modulus is required"),
+        # a.poly is A_POLY: 16 coefficients mod 16193; its header fixes N and q
+        (["ntt", "--input", "a.poly", "--q", "193"],
+         "file modulus 16193 does not match expected 193"),
+        (["ntt", "--input", "a.poly", "--q-bits", "20"],
+         "file modulus 16193 does not match expected 1048193"),
+        (["polymul", "--input", "a.poly", "--input-b", "a.poly", "--q", "193"],
+         "file modulus 16193 does not match expected 193"),
+        (["ntt", "--input", "a.poly", "--n", "64"], "file N=16 does not match --n 64"),
+        # --q names every modulus itself
+        (["sim", "--n", "16", "--npe", "2", "--q", "97", "--q-bits", "14"],
+         "--q lists the moduli; it takes no --q-bits or --nq"),
+        (["sim", "--n", "16", "--npe", "2", "--q", "97", "--nq", "3"],
+         "--q lists the moduli; it takes no --q-bits or --nq"),
     ])
-    def test_pinned_messages(self, capsys, args, message):
+    def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.poly").write_text(A_POLY)
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "16"], ["--q", "16193"], ["--q-bits", "14"], ["--n", "16", "--q-bits", "14"],
+    ])
+    def test_flags_that_agree_with_the_file(self, tmp_path, capsys, flags):
+        src = tmp_path / "a.poly"
+        src.write_text(A_POLY)
+        for command in ("ntt", "intt"):
+            plain = run_cli([command, "--input", str(src)], capsys)
+            assert run_cli([command, "--input", str(src), *flags], capsys) == plain
+            assert plain[0] == 0
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 32.0 GiB"), "error: Unable to allocate 32.0 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_out_of_memory(self, monkeypatch, capsys, exc, line):
+        def handler(opts):
+            raise exc
+
+        monkeypatch.setitem(cli._HANDLERS, "layout-check", handler)
+        code, out, err = run_cli(["layout-check", "--n", "16"], capsys)
+        assert (code, out, err) == (1, "", line)
 
     def test_poly_file_unreduced_coefficient(self, tmp_path, capsys):
         src = tmp_path / "bad.poly"

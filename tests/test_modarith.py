@@ -27,7 +27,6 @@ from nttsim.modarith import (
     find_primitive_root,
     half_mod,
     is_prime,
-    mod_pow,
     ntt_modulus,
     step_multiply,
 )
@@ -236,26 +235,6 @@ class TestHalfMod:
                 continue
             for x in range(q):
                 assert (2 * half_mod(x, q)) % q == x
-
-
-class TestModPow:
-    def test_fermat(self):
-        mod = barrett_precompute(17)
-        assert mod_pow(3, 16, mod) == 1
-
-    def test_square(self):
-        mod = barrett_precompute(17)
-        assert mod_pow(3, 2, mod) == 9
-
-    def test_against_repeated_multiplication(self, rng):
-        for _ in range(100):
-            q = rng.choice(PRIMES_1K[2:])
-            mod = barrett_precompute(q)
-            base, exp = rng.randrange(q), rng.randrange(64)
-            acc = 1
-            for _ in range(exp):
-                acc = (acc * base) % q
-            assert mod_pow(base, exp, mod) == acc
 
 
 class TestPrimitiveRoot:

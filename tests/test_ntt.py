@@ -4,6 +4,7 @@ Oracles: dense evaluation at odd powers of psi (matrix form), big-integer
 schoolbook convolution, and hand-frozen small cases.
 """
 
+import hashlib
 import io
 import itertools
 
@@ -80,6 +81,21 @@ class TestTwiddles:
         tw = gen_twiddles(mod, n)
         assert (mod.q, tw.psi) == (q, psi)
         assert pow(psi, n, q) == q - 1
+
+    @pytest.mark.parametrize("bits,n,digest", [
+        (14, 16, "11ba4814d4fa4f9c"),
+        (14, 1024, "db169cb5ad3197c8"),
+        (32, 4096, "767e2fe50ce9f035"),
+        (32, 16384, "2ea27188ec30c9d5"),
+        (40, 1024, "1458d2ee08f71734"),
+        (62, 256, "d40d22651a0f7864"),
+    ])
+    def test_tables_pinned(self, bits, n, digest):
+        # sha256 of both tables as little-endian words: frozen, so neither
+        # a twiddle value nor the bit-reversed order can drift
+        tw = gen_twiddles(ntt_modulus(bits, n), n)
+        data = tw.forward.astype("<u8").tobytes() + tw.inverse.astype("<u8").tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
     def test_any_modulus_of_a_prime_is_transform_ready(self, rng):
         # no root step between barrett_precompute and the transforms

@@ -1,11 +1,15 @@
 """Tests for residue-number-system decomposition and reconstruction."""
 
+import json
 import math
 
 import pytest
 
+from nttsim.cli import main
+from nttsim.modarith import find_ntt_prime
 from nttsim.ntt import Polynomial, polymul_ntt
 from nttsim.rns import RnsBasis, decompose, gen_basis, reconstruct, rns_polymul
+from nttsim.sim import make_sim_config
 
 from conftest import negacyclic_schoolbook_oracle
 
@@ -44,6 +48,15 @@ class TestBasis:
     def test_insufficient_primes(self):
         with pytest.raises(ValueError):
             gen_basis(9, 40, 16)
+
+    def test_one_chain_everywhere(self, capsys):
+        # the basis, the simulator config and the CLI pick the same primes
+        want = [find_ntt_prime(30, 1024, i) for i in range(4)]
+        assert [m.q for m in gen_basis(30, 4, 1024).moduli] == want
+        config = make_sim_config(1024, 8, q_bits=30, n_q=4)
+        assert [m.q for m in config.moduli] == want
+        assert main(["sim", "--n", "1024", "--npe", "8", "--q-bits", "30", "--nq", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["moduli"] == want
 
 
 class TestDecomposeReconstruct:
