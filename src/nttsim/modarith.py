@@ -5,14 +5,19 @@ the full double-width product in a single step, and a hardware-shaped one
 that right-shifts the product before multiplying by the precomputed
 reciprocal so that every multiply fits a split-operand step multiplier.
 Both return the exact residue; the hardware variant is the one the
-simulator's butterfly units execute.
+simulator's butterfly units execute. A third multiply, Shoup's, is for
+an operand fixed in advance, such as a twiddle factor: its quotient
+w' = floor(w * 2^s / q) is precomputed once, so each product costs about
+half the passes of the Barrett one. The reference transforms use it.
 
 Moduli are primes in [3, 2^62). Scalar functions operate on Python ints.
 The array kernels (``*_into``) compute the same formulas elementwise into
-caller-owned uint64 buffers, without operand checks; above 32 bits the
-hardware multiply takes its double-word products from 32-bit partial
-products. The checked ``*_batch`` wrappers take uint64 operands, the
-plain one up to 32 bits; the exhaustive test sweeps use them.
+caller-owned uint64 buffers, without operand checks: barrett_mul_hw_into,
+barrett_mul_soft_into, shoup_mul_into (its quotients from
+shoup_precompute), reduce_once_into and half_mod_into. Above 32 bits the
+hardware and Shoup multiplies take their double-word products from 32-bit
+partial products. The checked ``*_batch`` wrappers take uint64 operands,
+the plain one up to 32 bits; the exhaustive test sweeps use them.
 """
 
 import math
@@ -231,6 +236,8 @@ def _factorize(x: int) -> set:
 
 def find_primitive_root(q: int) -> int:
     """Smallest generator of Z_q^* (q prime), tested with builtin pow."""
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
     if q == 2:
         return 1
     cofactors = [(q - 1) // p for p in _factorize(q - 1)]
@@ -385,6 +392,40 @@ def barrett_mul_soft_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) 
         np.multiply(a, b, out=out)
     np.multiply(tmp, q, out=tmp)
     np.subtract(out, tmp, out=out)  # t4 < 2q
+    reduce_once_into(out, q, out, tmp)
+
+
+def shoup_precompute(w: np.ndarray, mod: Modulus) -> np.ndarray:
+    """Shoup quotients w' = floor(w * 2^s / q) of reduced uint64 w, with
+    s = 32 up to 32 bits and 64 above: shoup_mul_into's fixed operand.
+
+    w' * q = w * 2^s - (w * 2^s mod q) and w' < 2^s, so w' is
+    -(w * 2^s mod q) times q's inverse, taken mod 2^s: an exact division
+    that never leaves a word.
+    """
+    s = 32 if mod.k <= 32 else 64
+    low = mul_blocks(barrett_mul_hw_into, w, np.uint64(pow(2, s, mod.q)), mod)
+    q_inv = np.uint64(pow(mod.q, -1, 1 << s))
+    return (np.uint64(0) - low) * q_inv & np.uint64((1 << s) - 1)
+
+
+def shoup_mul_into(v, w, w_pre, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
+    """out = (v * w) mod q elementwise on uint64, for a fixed operand w
+    with its precomputed w_pre = shoup_precompute(w) (Shoup's MulModPrecon).
+
+    w and w_pre broadcast to out's shape; tmp has out's shape and may not
+    alias v, out may. The quotient estimate (v * w') >> s is at most one
+    short, so r = v * w - estimate * q < 2q is exact as a wrapping word.
+    """
+    q = mod.q
+    if mod.k <= 32:
+        np.multiply(v, w_pre, out=tmp)  # < 2^64 as v, w' < 2^32
+        np.right_shift(tmp, 32, out=tmp)
+        np.multiply(tmp, q, out=tmp)
+    else:
+        np.multiply(_mulhi(v, w_pre), q, out=tmp)
+    np.multiply(v, w, out=out)
+    np.subtract(out, tmp, out=out)  # r < 2q
     reduce_once_into(out, q, out, tmp)
 
 

@@ -14,8 +14,14 @@ Array functions accept stacks of polynomials (shape (..., N)) and check
 once, on entry, that every value is reduced; inside the stage loop values
 stay reduced by construction. The batch is cut into row blocks of at
 most 2^16 values that stay in cache through all stages. Every stage runs
-the in-place butterfly kernels ct_stage/gs_stage on uint64 rows, which
-the simulator's replay shares.
+the in-place butterfly body ct_stage/gs_stage on uint64 rows, with the
+twiddle multiply passed in. The transforms here multiply by Shoup's
+method (shoup_mul_into) on quotients precomputed with the tables, and
+their inverse twiddles are stored pre-halved, so the inverse butterfly
+needs no halving after its multiply. The simulator's replay runs the
+same bodies with the hardware Barrett multiply instead, since that is
+what the modelled butterfly units execute; run() then checks it against
+transforms that share no multiply with it.
 """
 
 from dataclasses import dataclass
@@ -32,6 +38,8 @@ from nttsim.modarith import (
     half_mod_into,
     mul_blocks,
     reduce_once_into,
+    shoup_mul_into,
+    shoup_precompute,
 )
 
 
@@ -70,6 +78,8 @@ class TwiddleTable:
     forward[j] = psi^bitrev(j), consumed per stage at indices [m, 2m);
     inverse[j] is its elementwise inverse, consumed in reverse stage
     order. The two tables are distinct, as the dataflow requires.
+    inverse_half[j] = inverse[j]/2 mod q. forward_pre and inverse_half_pre
+    hold the Shoup quotients the reference transforms multiply with.
     """
 
     forward: np.ndarray
@@ -78,6 +88,9 @@ class TwiddleTable:
     psi_inv: int
     mod: Modulus
     n: int
+    forward_pre: np.ndarray
+    inverse_half: np.ndarray
+    inverse_half_pre: np.ndarray
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
@@ -100,7 +113,14 @@ def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
         order = np.concatenate([2 * order, 2 * order + 1])
     forward = np.array(pows, dtype=np.uint64)[order]
     inverse = np.array(inv_pows, dtype=np.uint64)[order]
-    return TwiddleTable(forward, inverse, psi, psi_inv, mod, n)
+    inverse_half = inverse.copy()
+    half_mod_into(inverse_half, q, np.empty_like(inverse))
+    return TwiddleTable(
+        forward, inverse, psi, psi_inv, mod, n,
+        forward_pre=shoup_precompute(forward, mod),
+        inverse_half=inverse_half,
+        inverse_half_pre=shoup_precompute(inverse_half, mod),
+    )
 
 
 _twiddle_cache: dict = {}
@@ -115,17 +135,20 @@ def cached_twiddles(mod: Modulus, n: int) -> TwiddleTable:
 
 
 # ---------------------------------------------------------------------------
-# per-stage butterfly kernels (shared with the simulator's replay)
+# per-stage butterfly bodies, shared with the simulator's replay: mul(x,
+# *w, mod, out, tmp) writes the twiddle products w*x mod q into out, using
+# tmp; neither buffer aliases x
 
 
-def ct_stage(u, v, w, mod: Modulus, s1, s2) -> None:
-    """Cooley-Tukey butterflies, in place: (u, v) <- (u + w*v, u - w*v) mod q.
+def ct_stage(u, v, mul, w, mod: Modulus, s1, s2) -> None:
+    """Cooley-Tukey butterflies, in place: (u, v) <- (u + t, u - t) mod q
+    with t = mul(v, *w), the twiddle products.
 
-    u, v and the scratch buffers s1, s2 share one shape, all uint64; w
-    broadcasts to it. Operands must be reduced.
+    u, v and the scratch buffers s1, s2 share one shape, all uint64; the
+    twiddle operands w broadcast to it. Operands must be reduced.
     """
     q = mod.q
-    barrett_mul_hw_into(v, w, mod, s1, s2)  # t = w*v
+    mul(v, *w, mod, s1, s2)  # t
     np.subtract(q, s1, out=s2)
     np.add(s2, u, out=s2)  # u - t + q < 2q
     np.add(u, s1, out=u)  # u + t < 2q
@@ -133,10 +156,11 @@ def ct_stage(u, v, w, mod: Modulus, s1, s2) -> None:
     reduce_once_into(u, q, u, s1)
 
 
-def gs_stage(u, v, w_inv, mod: Modulus, s1, s2) -> None:
+def gs_stage(u, v, mul, w, mod: Modulus, s1, s2) -> None:
     """Gentleman-Sande butterflies, in place:
-    (u, v) <- ((u + v)/2, w_inv*(u - v)/2) mod q, halving via the shift-add
-    form. Buffers and operands as in ct_stage."""
+    (u, v) <- ((u + v)/2, mul(u - v, *w)) mod q, halving via the shift-add
+    form; mul must include the second leg's halving. Buffers and operands
+    as in ct_stage."""
     # u and v are strided views, slow to stream when groups are short, so
     # most passes run on the contiguous scratch
     q = mod.q
@@ -147,8 +171,7 @@ def gs_stage(u, v, w_inv, mod: Modulus, s1, s2) -> None:
     np.add(s2, u, out=s2)  # u - v + q < 2q
     u[...] = s1
     reduce_once_into(s2, q, v, s1)
-    barrett_mul_hw_into(v, w_inv, mod, s1, s2)
-    half_mod_into(s1, q, s2)
+    mul(v, *w, mod, s1, s2)
     v[...] = s1
 
 
@@ -165,12 +188,13 @@ def _reduced_copy(values, tw: TwiddleTable) -> np.ndarray:
     return check_reduced(out, tw.mod.q)
 
 
-def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> None:
+def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, tables, groups) -> None:
     """Apply butterfly stages in place to x, shape (rows, N), by row blocks.
 
     groups holds each stage's butterfly-group count g: the stage pairs
-    halves 0 and 1 of the (g, 2, N/2g) view of every row, with twiddle
-    table[g + j] for group j. Stages whose groups hold at most 8
+    halves 0 and 1 of the (g, 2, N/2g) view of every row, multiplying
+    group j by shoup_mul_into with operands table[g + j] of each of the
+    (twiddle, quotient) tables. Stages whose groups hold at most 8
     butterflies pair the same halves in the transposed (N/2g, 2, g) view.
     """
     rows, n = x.shape
@@ -181,12 +205,13 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, table, groups) -> No
         r = len(work)
         s1, s2 = scratch[:, :r * n // 2]
         for g in groups:
-            pairs, w = work.reshape(r, g, 2, n // (2 * g)), table[g:2 * g, None]
+            pairs, per_group = work.reshape(r, g, 2, n // (2 * g)), (slice(g, 2 * g), None)
             if n // (2 * g) <= 8:
                 # numpy streams along the g groups, not within each short one
-                pairs, w = pairs.transpose(0, 3, 2, 1), table[g:2 * g]
+                pairs, per_group = pairs.transpose(0, 3, 2, 1), slice(g, 2 * g)
             shape = pairs.shape[:2] + pairs.shape[3:]
-            butterfly(pairs[:, :, 0], pairs[:, :, 1], w, tw.mod,
+            butterfly(pairs[:, :, 0], pairs[:, :, 1], shoup_mul_into,
+                      [table[per_group] for table in tables], tw.mod,
                       s1.reshape(shape), s2.reshape(shape))
 
 
@@ -194,7 +219,7 @@ def ntt_ct_array(values, tw: TwiddleTable) -> np.ndarray:
     """Forward transform over the last axis; natural in, bit-reversed out."""
     out = _reduced_copy(values, tw)
     groups = [1 << s for s in range(tw.n.bit_length() - 1)]
-    _run_stages(out.reshape(-1, tw.n), tw, ct_stage, tw.forward, groups)
+    _run_stages(out.reshape(-1, tw.n), tw, ct_stage, (tw.forward, tw.forward_pre), groups)
     return out
 
 
@@ -202,7 +227,8 @@ def intt_gs_array(values, tw: TwiddleTable) -> np.ndarray:
     """Inverse transform over the last axis; bit-reversed in, natural out."""
     out = _reduced_copy(values, tw)
     groups = [1 << s for s in reversed(range(tw.n.bit_length() - 1))]
-    _run_stages(out.reshape(-1, tw.n), tw, gs_stage, tw.inverse, groups)
+    _run_stages(out.reshape(-1, tw.n), tw, gs_stage,
+                (tw.inverse_half, tw.inverse_half_pre), groups)
     return out
 
 

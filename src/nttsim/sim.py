@@ -42,7 +42,11 @@ RNS channels: polymul's two forward transforms share one trace, so they
 share one report. Its numerics do not depend on timing, because the
 machine stalls rather than read a stale value: each stage gathers the
 cells and twiddle indices in the trace's own columns, applies one batch
-butterfly per channel and scatters the results back. run() refuses to
+butterfly per channel and scatters the results back. The replay
+multiplies twiddles with the hardware Barrett kernel the modelled
+butterfly units run; the reference transforms share the butterfly's
+add/sub body but multiply by Shoup's method on their own precomputed
+tables, so the check is independent in the multiply. run() refuses to
 return a result that disagrees with the reference transform: such a
 mismatch is a simulator bug, never expected to fire.
 """
@@ -54,7 +58,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from nttsim.layout import make_layout
-from nttsim.modarith import Modulus, check_reduced
+from nttsim.modarith import Modulus, barrett_mul_hw_into, check_reduced, half_mod_into
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -522,12 +526,22 @@ def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
             mem[r0] = pointwise_mul_array(mem[r0], other[r1], mod)
         return
     tw = cached_twiddles(mod, len(mem))
-    table, butterfly = (tw.forward, ct_stage) if kind == "ntt" else (tw.inverse, gs_stage)
+    if kind == "ntt":
+        butterfly, mul, table = ct_stage, barrett_mul_hw_into, tw.forward
+    else:
+        butterfly, mul, table = gs_stage, _barrett_half_into, tw.inverse
     scratch = np.empty((2, len(mem) // 2), np.uint64)
     for r0, r1, w in stages:
         u, v = mem[r0], mem[r1]
-        butterfly(u, v, table[w], mod, *scratch[:, :len(r0)])
+        butterfly(u, v, mul, (table[w],), mod, *scratch[:, :len(r0)])
         mem[r0], mem[r1] = u, v
+
+
+def _barrett_half_into(x, w, mod: Modulus, out, tmp) -> None:
+    """out = w*x/2 mod q: the hardware multiply, then the halving of the
+    inverse butterfly's second leg."""
+    barrett_mul_hw_into(x, w, mod, out, tmp)
+    half_mod_into(out, mod.q, tmp)
 
 
 def _reference(op_kind, mod, a_coeffs, b_coeffs):

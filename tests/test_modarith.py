@@ -28,8 +28,11 @@ from nttsim.modarith import (
     half_mod,
     is_prime,
     ntt_modulus,
+    shoup_mul_into,
+    shoup_precompute,
     step_multiply,
 )
+from nttsim.ntt import gen_twiddles
 
 from conftest import multiplicative_order, mulmod_oracle, sieve_primes
 
@@ -255,6 +258,54 @@ class TestPrimitiveRoot:
         for q in rng.sample(candidates, 50):
             g = find_primitive_root(q)
             assert multiplicative_order(g, q) == q - 1
+
+    @pytest.mark.parametrize("q", [0, 1, 4, 9, 15])
+    def test_rejects_non_primes(self, q):
+        with pytest.raises(ValueError, match="not prime"):
+            find_primitive_root(q)
+
+
+class TestShoupMul:
+    """shoup_mul_into against Python's (v * w) % q, on each side of the
+    32-bit branch and at the 62-bit limit."""
+
+    BITS = [14, 31, 32, 33, 40, 62]
+
+    @staticmethod
+    def shift(mod):
+        return 32 if mod.k <= 32 else 64
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_matches_python(self, bits):
+        mod = ntt_modulus(bits, 16)
+        q = mod.q
+        edges = [0, 1, q - 2, q - 1]
+        gen = np.random.default_rng(bits)
+        # every pair of edge values, then a random block
+        v, w = (np.concatenate([np.array(e, np.uint64), gen.integers(0, q, 4096, dtype=np.uint64)])
+                for e in (edges * 4, sorted(edges * 4)))
+        w_pre = shoup_precompute(w, mod)
+        s = self.shift(mod)
+        assert w_pre.tolist() == [(x << s) // q for x in w.tolist()]
+        out, tmp = np.empty_like(v), np.empty_like(v)
+        shoup_mul_into(v, w, w_pre, mod, out, tmp)
+        want = [(x * y) % q for x, y in zip(v.tolist(), w.tolist())]
+        assert out.tolist() == want
+        # before its one conditional subtraction the result lies below 2q
+        for x, y, y_pre in zip(v.tolist(), w.tolist(), w_pre.tolist()):
+            assert 0 <= x * y - ((x * y_pre) >> s) * q < 2 * q
+        # out may be v itself
+        shoup_mul_into(v, w, w_pre, mod, v, tmp)
+        assert v.tolist() == want
+
+    @pytest.mark.parametrize("bits", BITS)
+    def test_table_quotients(self, bits):
+        mod = ntt_modulus(bits, 16)
+        q, s = mod.q, self.shift(mod)
+        tw = gen_twiddles(mod, 16)
+        assert [(2 * h) % q for h in tw.inverse_half.tolist()] == tw.inverse.tolist()
+        for table, pre in ((tw.forward, tw.forward_pre), (tw.inverse_half, tw.inverse_half_pre)):
+            assert pre.tolist() == [(x << s) // q for x in table.tolist()]
 
 
 class TestFindNttPrime:

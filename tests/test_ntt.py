@@ -354,6 +354,23 @@ class TestPolymul:
         assert p.to_ints() == [(mod.q - c) % mod.q for c in coeffs]
 
 
+class TestEveryWidth:
+    @pytest.mark.parametrize("bits", range(14, 63))
+    def test_polymul_matches_oracle(self, bits):
+        # every modulus width on both sides of the twiddle multiply's
+        # 32-bit branch, with random and all-(q-1) rows
+        n = 32
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        a, b = np.random.default_rng(bits).integers(0, mod.q, size=(2, 2, n), dtype=np.uint64)
+        a[1] = b[1] = mod.q - 1
+        got = polymul_ntt_array(a, b, tw)
+        for r in range(2):
+            want = negacyclic_schoolbook_oracle(a[r].tolist(), b[r].tolist(), mod.q)
+            assert got[r].tolist() == want
+        np.testing.assert_array_equal(intt_gs_array(ntt_ct_array(a, tw), tw), a)
+
+
 class TestSchoolbook:
     def test_multiplicative_identity(self, rng):
         n, mod = 8, ntt_modulus(14, 8)

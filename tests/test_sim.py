@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nttsim import cli, sim
+from nttsim import cli, modarith, ntt, sim
 from nttsim.modarith import ntt_modulus
 from nttsim.ntt import (
     Polynomial,
@@ -484,6 +484,24 @@ class TestMismatchCheck:
         self.corrupt_schedule(monkeypatch, op, field)
         with pytest.raises(SimMismatchError):
             run(cfg, a, b, op=op)
+
+    @pytest.mark.parametrize("op", ["ntt", "intt"])
+    def test_perturbed_replay_multiply_raises(self, monkeypatch, op):
+        # the reference transforms multiply twiddles by their own kernel,
+        # so an error in the replay's Barrett multiply cannot reach both
+        cfg = make_sim_config(64, 4, q_bits=14, profile="q14")
+        a = random_poly(cfg.moduli[0], 64, 29)
+        run(cfg, a, op=op)
+        real = modarith.barrett_mul_hw_into
+
+        def perturbed(x, w, mod, out, tmp):
+            real(x, w, mod, out, tmp)
+            out.flat[0] = (int(out.flat[0]) + 1) % mod.q
+
+        for module in (sim, ntt):
+            monkeypatch.setattr(module, "barrett_mul_hw_into", perturbed, raising=False)
+        with pytest.raises(SimMismatchError):
+            run(cfg, a, op=op)
 
     def test_cli_exits_3(self, monkeypatch, capsys):
         argv = ["sim", "--n", "64", "--npe", "4", "--q-bits", "14", "--op", "polymul"]
