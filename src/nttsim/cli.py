@@ -9,11 +9,17 @@ for the pipeline profile, as in ``pipeline.delay_read``); command-line
 flags override file values, and both are checked alike. Identical
 config and seed produce byte-identical output.
 
-Random inputs come from a splitmix64 stream (64-bit state; increment
-0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9 and
-0x94D049BB133111EB) reduced mod q, so any implementation can reproduce
-the operands from the seed alone. For two-operand commands the second
-polynomial continues the same stream.
+ntt, intt, polymul and sim decide N, the moduli and their operands by
+one rule. An operand file fixes N and q for every command, sim included,
+so with a file sim needs no --n; --n, --q and --q-bits may repeat what
+the files say but not change it, and two operand files must agree. An
+operand without a file is drawn from a splitmix64 stream (64-bit state;
+increment 0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9 and
+0x94D049BB133111EB): drawn operands take the stream's values in operand
+order, N each, reduced mod Q (the product of the moduli) and split over
+the moduli, which is mod q for one modulus. An operand read from a file
+uses no draws. Any implementation can reproduce the operands from the
+seed alone.
 
 Exit codes: 0 success, 1 validation or usage error, 2 hazard under the
 fail-fast policy, 3 simulator-versus-reference mismatch.
@@ -23,12 +29,11 @@ import argparse
 import io
 import sys
 from dataclasses import fields, replace
-from typing import Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from nttsim.layout import KINDS, verify_conflict_free
 from nttsim.modarith import Modulus, barrett_precompute
 from nttsim.ntt import (
-    Polynomial,
     cached_twiddles,
     intt_gs,
     ntt_ct,
@@ -36,7 +41,7 @@ from nttsim.ntt import (
     read_polynomial,
     write_polynomial,
 )
-from nttsim.rns import RnsBasis, decompose, gen_basis
+from nttsim.rns import RnsBasis, RnsPolynomial, decompose, gen_basis
 from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, export_csv
 from nttsim.sim import (
     HAZARD_POLICIES,
@@ -62,14 +67,6 @@ def splitmix64(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
-def random_polynomial(
-    mod: Modulus, n: int, seed: int, stream: Optional[Iterator[int]] = None
-) -> Polynomial:
-    if stream is None:
-        stream = splitmix64(seed)
-    return Polynomial.from_ints([next(stream) % mod.q for _ in range(n)], mod)
-
-
 class Options(dict):
     """Resolved option bag: flags override config, config overrides defaults."""
 
@@ -92,17 +89,6 @@ def _pipeline(opts: Options):
     return pipe, name
 
 
-def _moduli(opts: Options, n: int) -> Sequence[Modulus]:
-    if opts.q is not None:
-        if opts.q_bits is not None or opts.nq != 1:
-            raise ValueError("--q lists the moduli; it takes no --q-bits or --nq")
-        primes = [int(x) for x in str(opts.q).split(",")]
-        return [barrett_precompute(p) for p in primes]
-    if opts.q_bits is None:
-        raise ValueError("either --q or --q-bits is required")
-    return gen_basis(opts.q_bits, opts.nq, n).moduli
-
-
 def _write_output(text: str, path: Optional[str]) -> None:
     if path is not None:
         with open(path, "w") as fh:
@@ -118,52 +104,73 @@ def _write_output(text: str, path: Optional[str]) -> None:
             data = data[sys.stdout.buffer.write(data):]
 
 
-def _load_or_generate(opts: Options, which: str, stream) -> Polynomial:
-    poly = None
-    if opts[which] is not None:
-        with open(opts[which]) as fh:
-            poly = read_polynomial(fh)
-        # the file fixes N and q; flags may repeat them but not change them
-        if opts.n not in (None, poly.n):
-            raise ValueError(f"file N={poly.n} does not match --n {opts.n}")
-        if opts.q is None and opts.q_bits is None:
-            return poly
-    n = opts.n if poly is None else poly.n
+def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object]):
+    """Decide N, the moduli and the operands of ntt, intt, polymul or sim
+    by the rule in the module docstring.
+
+    The command uses --input, and also --input-b for polymul and for sim
+    --op mult|polymul. settle(N, moduli) checks the rest of the command
+    before any operand is drawn; its result is returned with the
+    operands [a, b], each an RnsPolynomial over the moduli (b is None
+    when the command takes one operand).
+    """
+    names = ["input"]
+    if opts.command == "polymul" or opts.command == "sim" and opts.op in ("mult", "polymul"):
+        names.append("input_b")
+    files = {}
+    for name in names:
+        if opts[name] is not None:
+            with open(opts[name]) as fh:
+                poly = files[name] = read_polynomial(fh)
+            if opts.n not in (None, poly.n):
+                raise ValueError(f"file N={poly.n} does not match --n {opts.n}")
+    if len({(p.n, p.mod.q) for p in files.values()}) > 1:
+        raise ValueError("operand files disagree on N or q")
+    fixed = next(iter(files.values()), None)
+    n = opts.n if fixed is None else fixed.n
     if n is None:
-        raise ValueError(f"--n is required when no {which} file is given")
-    moduli = _moduli(opts, n)
-    if len(moduli) != 1:
-        raise ValueError(f"{opts.command} takes one modulus, got {len(moduli)}")
-    if poly is None:
-        return random_polynomial(moduli[0], n, opts.seed, stream)
-    if moduli[0].q != poly.mod.q:
-        raise ValueError(f"file modulus {poly.mod.q} does not match expected {moduli[0].q}")
-    return poly
-
-
-def _cmd_transform(opts: Options) -> int:
-    stream = splitmix64(opts.seed)
-    poly = _load_or_generate(opts, "input", stream)
-    tw = cached_twiddles(poly.mod, poly.n)
-    if opts.command == "ntt":
-        result = ntt_ct(poly, tw)
+        raise ValueError("--n is required when no input file is given")
+    if opts.q is not None:
+        if opts.q_bits is not None or opts.nq != 1:
+            raise ValueError("--q lists the moduli; it takes no --q-bits or --nq")
+        moduli = [barrett_precompute(int(x)) for x in opts.q.split(",")]
+    elif opts.q_bits is not None:
+        moduli = gen_basis(opts.q_bits, opts.nq, n).moduli
+    elif fixed is not None:
+        moduli = [fixed.mod]
     else:
-        result = intt_gs(poly, tw)
+        raise ValueError("either --q or --q-bits is required")
+    settled = settle(n, moduli)
+    if len(moduli) != 1:
+        if opts.command != "sim":
+            raise ValueError(f"{opts.command} takes one modulus, got {len(moduli)}")
+        if files:
+            raise ValueError("file-driven sim supports a single modulus")
+    if fixed is not None and fixed.mod.q != moduli[0].q:
+        raise ValueError(f"file modulus {fixed.mod.q} does not match expected {moduli[0].q}")
+    basis = RnsBasis.from_moduli(moduli)
+    stream = splitmix64(opts.seed)
+    operands = []
+    for name in ("input", "input_b"):
+        if name in files:
+            operands.append(RnsPolynomial((files[name],), basis))
+        elif name in names:
+            operands.append(decompose([next(stream) % basis.big_q for _ in range(n)], basis))
+        else:
+            operands.append(None)
+    return settled, operands
+
+
+def _cmd_reference(opts: Options) -> int:
+    mod, (a, b) = _operands(opts, lambda n, moduli: moduli[0])
+    (a,) = a.residue_polys
+    if opts.command == "polymul":
+        result = polymul_ntt(a, b.residue_polys[0], mod)
+    else:
+        tw = cached_twiddles(mod, a.n)
+        result = ntt_ct(a, tw) if opts.command == "ntt" else intt_gs(a, tw)
     buf = io.StringIO()
     write_polynomial(result, buf)
-    _write_output(buf.getvalue(), opts.output)
-    return 0
-
-
-def _cmd_polymul(opts: Options) -> int:
-    stream = splitmix64(opts.seed)
-    a = _load_or_generate(opts, "input", stream)
-    b = _load_or_generate(opts, "input_b", stream)
-    if a.mod.q != b.mod.q or a.n != b.n:
-        raise ValueError("operand files disagree on N or q")
-    product = polymul_ntt(a, b, a.mod)
-    buf = io.StringIO()
-    write_polynomial(product, buf)
     _write_output(buf.getvalue(), opts.output)
     return 0
 
@@ -197,38 +204,18 @@ def _cmd_schedule_dump(opts: Options) -> int:
 
 
 def _cmd_sim(opts: Options) -> int:
-    if opts.n is None or opts.npe is None:
+    if opts.npe is None:
         raise ValueError("sim requires --n and --npe")
     pipe, name = _pipeline(opts)
-    moduli = _moduli(opts, opts.n)
-    config = make_sim_config(
-        opts.n,
+    config, (a, b) = _operands(opts, lambda n, moduli: make_sim_config(
+        n,
         opts.npe,
         moduli=moduli,
         profile=pipe if name == "custom" else name,
         setup_cycles=opts.setup_cycles,
         hazard_policy=opts.policy,
         layout_kind=opts.layout,
-    )
-    stream = splitmix64(opts.seed)
-    basis = RnsBasis.from_moduli(config.moduli)
-    a_vals = [next(stream) % basis.big_q for _ in range(opts.n)]
-    b_vals = [next(stream) % basis.big_q for _ in range(opts.n)]
-    if opts.input is not None:
-        if len(config.moduli) != 1:
-            raise ValueError("file-driven sim supports a single modulus")
-        with open(opts.input) as fh:
-            a = read_polynomial(fh, config.moduli[0])
-    else:
-        a = decompose(a_vals, basis)
-    needs_b = opts.op in ("mult", "polymul")
-    b = None
-    if needs_b:
-        if opts.input_b is not None:
-            with open(opts.input_b) as fh:
-                b = read_polynomial(fh, config.moduli[0])
-        else:
-            b = decompose(b_vals, basis)
+    ))
     report = run(config, a, b, op=opts.op)
     if opts.format == "text":
         lines = [
@@ -248,9 +235,9 @@ def _cmd_sim(opts: Options) -> int:
 
 
 _HANDLERS = {
-    "ntt": _cmd_transform,
-    "intt": _cmd_transform,
-    "polymul": _cmd_polymul,
+    "ntt": _cmd_reference,
+    "intt": _cmd_reference,
+    "polymul": _cmd_reference,
     "sim": _cmd_sim,
     "schedule": _cmd_schedule_dump,
     "layout-check": _cmd_layout_check,

@@ -46,7 +46,10 @@ butterfly per channel and scatters the results back. The replay
 multiplies twiddles with the hardware Barrett kernel the modelled
 butterfly units run; the reference transforms share the butterfly's
 add/sub body but multiply by Shoup's method on their own precomputed
-tables, so the check is independent in the multiply. run() refuses to
+tables, so the ntt and intt checks are independent in the multiply.
+The mult step's reference and replay both run pointwise_mul_array, the
+same hardware Barrett kernel, so its check covers only the gather and
+scatter; the exhaustive modarith tests cover that kernel. run() refuses to
 return a result that disagrees with the reference transform: such a
 mismatch is a simulator bug, never expected to fire.
 """

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: validation, golden outputs,
 exit-code categories and byte-level determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -10,11 +11,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nttsim
 from nttsim import cli
-from nttsim.cli import main, random_polynomial, splitmix64
+from nttsim.cli import main, splitmix64
 from nttsim.modarith import barrett_precompute
+from nttsim.ntt import Polynomial, schoolbook_negacyclic
 
 
 # 16 coefficients mod 16193 = ntt_modulus(14, 16)
@@ -129,6 +133,12 @@ class TestRejectedInput:
          "--q lists the moduli; it takes no --q-bits or --nq"),
         (["sim", "--n", "16", "--npe", "2", "--q", "97", "--nq", "3"],
          "--q lists the moduli; it takes no --q-bits or --nq"),
+        # the file fixes N for sim too, and a file operand takes one modulus
+        (["sim", "--input", "a.poly", "--n", "64", "--npe", "2", "--q-bits", "14"],
+         "file N=16 does not match --n 64"),
+        (["sim", "--input-b", "a.poly", "--n", "16", "--npe", "2", "--q-bits", "14", "--nq", "2",
+          "--op", "polymul"],
+         "file-driven sim supports a single modulus"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
@@ -138,14 +148,38 @@ class TestRejectedInput:
 
     @pytest.mark.parametrize("flags", [
         ["--n", "16"], ["--q", "16193"], ["--q-bits", "14"], ["--n", "16", "--q-bits", "14"],
+        ["--n", "16", "--q", "16193"],
     ])
     def test_flags_that_agree_with_the_file(self, tmp_path, capsys, flags):
+        """A file fixes N and q for every command: polymul and sim draw
+        the operands the file does not give to the file's N and q."""
         src = tmp_path / "a.poly"
         src.write_text(A_POLY)
-        for command in ("ntt", "intt"):
-            plain = run_cli([command, "--input", str(src)], capsys)
-            assert run_cli([command, "--input", str(src), *flags], capsys) == plain
+        for command in (["ntt"], ["intt"], ["polymul"], ["sim", "--npe", "2"],
+                        ["sim", "--npe", "2", "--op", "polymul"]):
+            plain = run_cli([*command, "--input", str(src)], capsys)
+            assert run_cli([*command, "--input", str(src), *flags], capsys) == plain
             assert plain[0] == 0
+
+    @pytest.mark.parametrize("args", [
+        # geometry fails after N and the moduli are settled
+        ["sim", "--n", "2048", "--npe", "16", "--q-bits", "32"],
+        ["sim", "--n", "16", "--npe", "3", "--q-bits", "14"],
+        # every operand file is read and checked before the first draw
+        ["sim", "--input", "missing.poly", "--n", "16", "--npe", "2", "--q-bits", "14"],
+        ["sim", "--input", "a.poly", "--n", "16", "--npe", "2", "--q", "193"],
+        ["polymul", "--n", "16", "--q-bits", "14", "--input-b", "missing.poly"],
+    ])
+    def test_no_draw_before_validation(self, tmp_path, monkeypatch, capsys, args):
+        def no_draws(seed):
+            raise AssertionError("operand drawn before validation")
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.poly").write_text(A_POLY)
+        monkeypatch.setattr(cli, "splitmix64", no_draws)
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("exc,line", [
         (MemoryError("Unable to allocate 32.0 GiB"), "error: Unable to allocate 32.0 GiB\n"),
@@ -208,6 +242,73 @@ class TestRejectedInput:
         src.write_text("4 17\n3\n1\n4\n1\n\n\n")
         code, _out, err = run_cli(["ntt", "--input", str(src)], capsys)
         assert code == 0 and err == ""
+
+
+# two 14-bit primes that are 1 mod 2N for N = 16 and N = 64
+FILE_PRIMES = (12289, 16001)
+
+
+@pytest.fixture(scope="module")
+def operand_files(tmp_path_factory):
+    """One operand file per (N, q) of the operand-flag property."""
+    root = tmp_path_factory.mktemp("operands")
+    paths = {}
+    for n in (16, 64):
+        for q in FILE_PRIMES:
+            paths[n, q] = root / f"p{n}_{q}.poly"
+            paths[n, q].write_text(f"{n} {q}\n" + "".join(f"{(7 * i + n) % q}\n" for i in range(n)))
+    return paths
+
+
+def _main_output(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+_shapes = st.none() | st.tuples(st.sampled_from((16, 64)), st.sampled_from(FILE_PRIMES))
+
+
+class TestOperandFlags:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from((["ntt"], ["intt"], ["polymul"], ["sim", "--npe", "2"],
+                                 ["sim", "--npe", "2", "--op", "mult"],
+                                 ["sim", "--npe", "2", "--op", "polymul"])),
+        a=_shapes,
+        b=_shapes,
+        n=st.none() | st.sampled_from((16, 64)),
+        q=st.none() | st.sampled_from((*map(str, FILE_PRIMES), "12289,16001")),
+        q_bits=st.none() | st.sampled_from((14, 20)),
+        nq=st.none() | st.sampled_from((1, 2)),
+    )
+    def test_one_operand_rule(self, operand_files, command, a, b, n, q, q_bits, nq):
+        """Every command ends in exit 0 or 1 (sim may stop on a hazard with
+        2), a refusal prints one error line and nothing else, and flags
+        that repeat the file's N and q change nothing."""
+        args = list(command)
+        for flag, value in (("--n", n), ("--q", q), ("--q-bits", q_bits), ("--nq", nq)):
+            if value is not None:
+                args += [flag, str(value)]
+        for flag, shape in (("--input", a), ("--input-b", b)):
+            if shape is not None:
+                args += [flag, str(operand_files[shape])]
+        code, out, err = _main_output(args)
+        assert code in ((0, 1, 2) if command[0] == "sim" else (0, 1))
+        if code == 1:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        elif code == 0:
+            assert err == ""
+        uses_b = command[0] == "polymul" or command[-1] in ("mult", "polymul")
+        fixed = a if a is not None else b if uses_b else None
+        if fixed is not None:
+            repeated = list(args)
+            if n is None:
+                repeated += ["--n", str(fixed[0])]
+            if q is None and q_bits is None and nq in (None, 1):
+                repeated += ["--q", str(fixed[1])]
+            assert _main_output(repeated)[1] == out
 
 
 class TestPredict:
@@ -411,12 +512,39 @@ class TestSeededGenerator:
         assert next(stream) == 0x2C73F08458540FA5
         assert next(stream) == 0x883EBCE5A3F27C77
 
-    def test_random_polynomial_deterministic(self):
-        mod = barrett_precompute(12289)
-        a = random_polynomial(mod, 16, seed=42)
-        b = random_polynomial(mod, 16, seed=42)
-        assert a.to_ints() == b.to_ints()
-        assert all(0 <= c < 12289 for c in a.to_ints())
+    def test_random_polynomial_deterministic(self, tmp_path, capsys):
+        """The seed alone fixes a drawn operand, and it is reduced mod q:
+        intt undoes the ntt of the drawn polynomial."""
+        evals, drawn = [], []
+        for run in range(2):
+            mid, back = tmp_path / f"mid{run}.poly", tmp_path / f"back{run}.poly"
+            assert main(["ntt", "--n", "16", "--q", "12289", "--seed", "42",
+                         "--output", str(mid)]) == 0
+            assert main(["intt", "--input", str(mid), "--output", str(back)]) == 0
+            evals.append(mid.read_text())
+            drawn.append([int(c) for c in back.read_text().split()[2:]])
+        capsys.readouterr()
+        assert evals[0] == evals[1]
+        assert len(drawn[0]) == 16 and all(0 <= c < 12289 for c in drawn[0])
+
+    def test_draws_follow_operand_order(self, tmp_path, capsys):
+        """Drawn operands take the stream's values in operand order; an
+        operand read from a file takes none."""
+        q, n = 12289, 16
+        stream = splitmix64(5)
+        values = [next(stream) % q for _ in range(2 * n)]
+        second = tmp_path / "second.poly"
+        second.write_text(f"{n} {q}\n" + "".join(f"{v}\n" for v in values[n:]))
+        mod = barrett_precompute(q)
+        product = schoolbook_negacyclic(
+            Polynomial.from_ints(values[:n], mod), Polynomial.from_ints(values[n:], mod), mod
+        )
+        expected = f"{n} {q}\n" + "".join(f"{c}\n" for c in product.to_ints())
+        seeded = ["polymul", "--n", str(n), "--q", str(q), "--seed", "5"]
+        assert run_cli(seeded, capsys) == (0, expected, "")
+        # b drawn after a file-read a is the stream's first N values
+        code, out, _err = run_cli(["polymul", "--input", str(second), "--seed", "5"], capsys)
+        assert (code, out) == (0, expected)
 
     def test_seeded_cli_reproducible(self, tmp_path, capsys):
         f1, f2 = tmp_path / "p1.poly", tmp_path / "p2.poly"
