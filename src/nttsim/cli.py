@@ -12,7 +12,8 @@ config and seed produce byte-identical output.
 ntt, intt, polymul and sim decide N, the moduli and their operands by
 one rule. An operand file fixes N and q for every command, sim included,
 so with a file sim needs no --n; --n, --q and --q-bits may repeat what
-the files say but not change it, and two operand files must agree. An
+the files say but not change it, and two operand files must agree. A
+file gives one modulus, so an --nq other than 1 beside it is refused. An
 operand without a file is drawn from a splitmix64 stream (64-bit state;
 increment 0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB): drawn operands take the stream's values in operand
@@ -137,6 +138,8 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
     elif opts.q_bits is not None:
         moduli = gen_basis(opts.q_bits, opts.nq, n).moduli
     elif fixed is not None:
+        if opts.nq != 1:
+            raise ValueError("an operand file fixes the modulus; --nq needs --q-bits")
         moduli = [fixed.mod]
     else:
         raise ValueError("either --q or --q-bits is required")
@@ -205,7 +208,7 @@ def _cmd_schedule_dump(opts: Options) -> int:
 
 def _cmd_sim(opts: Options) -> int:
     if opts.npe is None:
-        raise ValueError("sim requires --n and --npe")
+        raise ValueError("sim requires --npe")
     pipe, name = _pipeline(opts)
     config, (a, b) = _operands(opts, lambda n, moduli: make_sim_config(
         n,

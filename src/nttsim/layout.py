@@ -13,7 +13,7 @@ is kept around as the counterexample the detectors must flag.
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -85,24 +85,37 @@ def make_layout(n_total: int, kind: str = "shifted") -> LayoutMap:
     return LayoutMap(N=n_total, n=_sqrt_banks(n_total), kind=kind)
 
 
+# one row per violation: the pair (i, j = i + 2^t) shares bank `bank`
+VIOLATION_DTYPE = np.dtype([(name, np.int64) for name in ("i", "j", "bank", "t")])
+
+# a violation's JSON line, as json.dumps(..., sort_keys=True) writes it
+_VIOLATION_LINE = '{"bank": %d, "i": %d, "j": %d, "t": %d}'
+
+
 @dataclass
 class ConflictReport:
-    """Outcome of the exhaustive power-of-two-distance bank check."""
+    """Outcome of the exhaustive power-of-two-distance bank check.
+
+    violations is one structured array of VIOLATION_DTYPE, ordered by t,
+    then by i: violations["i"] is a column, and violations[k]["i"] a field
+    of one finding."""
 
     N: int
     kind: str
     pairs_checked: int
-    violations: List[Dict[str, int]] = field(default_factory=list)
+    violations: np.ndarray = field(default_factory=lambda: np.empty(0, VIOLATION_DTYPE))
 
     def to_json_lines(self) -> str:
-        lines = [json.dumps(v, sort_keys=True) for v in self.violations]
+        v = self.violations
+        columns = (v[name].tolist() for name in ("bank", "i", "j", "t"))
+        lines = list(map(_VIOLATION_LINE.__mod__, zip(*columns)))
         lines.append(
             json.dumps(
                 {
                     "N": self.N,
                     "layout": self.kind,
                     "pairs_checked": self.pairs_checked,
-                    "violations": len(self.violations),
+                    "violations": len(v),
                 },
                 sort_keys=True,
             )
@@ -114,17 +127,25 @@ def verify_conflict_free(n_total: int, kind: str = "shifted") -> ConflictReport:
     """Check bank(i) != bank(i +/- 2^t) for every i and every t.
 
     Violations are report content, not errors; the shifted layout is
-    expected to produce none for any supported N.
+    expected to produce none for any supported N. Each distance's
+    findings fill one slice of the report's structured array.
     """
     layout = make_layout(n_total, kind)
     banks = layout.banks_of(np.arange(n_total, dtype=np.int64))
-    report = ConflictReport(N=n_total, kind=kind, pairs_checked=0)
-    for t in range(n_total.bit_length() - 1):
-        dist = 1 << t
-        same = np.flatnonzero(banks[:-dist] == banks[dist:])
-        report.pairs_checked += n_total - dist
-        report.violations += [
-            {"i": i, "j": i + dist, "bank": bank, "t": t}
-            for i, bank in zip(same.tolist(), banks[same].tolist())
-        ]
-    return report
+    dists = [1 << t for t in range(n_total.bit_length() - 1)]
+    same = [np.flatnonzero(banks[:-dist] == banks[dist:]) for dist in dists]
+    violations = np.empty(sum(map(len, same)), dtype=VIOLATION_DTYPE)
+    start = 0
+    for t, (dist, i) in enumerate(zip(dists, same)):
+        rows = violations[start:start + len(i)]
+        rows["i"] = i
+        rows["j"] = i + dist
+        rows["bank"] = banks[i]
+        rows["t"] = t
+        start += len(i)
+    return ConflictReport(
+        N=n_total,
+        kind=kind,
+        pairs_checked=sum(n_total - dist for dist in dists),
+        violations=violations,
+    )

@@ -218,7 +218,7 @@ class TestCriterion4:
         with criterion(4, "shifted layout conflict-free up to N=16384"):
             for n_total in (16, 64, 256, 1024, 4096, 16384):
                 report = verify_conflict_free(n_total)
-                assert report.violations == [], n_total
+                assert len(report.violations) == 0, n_total
                 # full pair enumeration: every i, every power-of-two distance
                 k = n_total.bit_length() - 1
                 expected_pairs = sum(

@@ -139,6 +139,13 @@ class TestRejectedInput:
         (["sim", "--input-b", "a.poly", "--n", "16", "--npe", "2", "--q-bits", "14", "--nq", "2",
           "--op", "polymul"],
          "file-driven sim supports a single modulus"),
+        # a file gives one modulus: --nq cannot ask for another count
+        (["ntt", "--input", "a.poly", "--nq", "0"],
+         "an operand file fixes the modulus; --nq needs --q-bits"),
+        (["sim", "--input", "a.poly", "--npe", "2", "--nq", "4"],
+         "an operand file fixes the modulus; --nq needs --q-bits"),
+        # with a file, sim needs no --n; only --npe is missing
+        (["sim", "--input", "a.poly"], "sim requires --npe"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
@@ -382,6 +389,24 @@ class TestLayoutCheck:
         assert code == 0
         summary = json.loads(out.strip().split("\n")[-1])
         assert summary["violations"] == 0
+
+    # sha256 of the stdout of `nttsim layout-check`, recorded when each
+    # violation was a dict written by json.dumps(..., sort_keys=True)
+    PINS = {
+        (16, "shifted"): "51d2422cf7b3242f46cadb00768406508c0e75b1528be4ea6d09301e5f0f01ae",
+        (16, "sequential"): "2badedbc47bc9a11c0d73f9f56fea132965763e3cadef4ffa7daafbcddc2a1f8",
+        (1024, "shifted"): "d3b73dded02b78961a3054c116f28c2b4c8863015e40909e69872f0c0a77a57d",
+        (1024, "sequential"): "0539c11cc3262f4a7ae461a95eab1cb717c1fe36c466bd1f447ca7c1121a29d0",
+        (16384, "shifted"): "4e5c14e3e80a986c0c6ea2f21b9a82ee64d9ced2c475c0d28525ee9414d8ad94",
+        (16384, "sequential"): "f7b5c38dbc04030f4dbdc56f2e194054a577878727366a74c3704de0ebb50689",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINS))
+    def test_pinned_output(self, key, capsys):
+        n_total, layout = key
+        code, out, err = run_cli(["layout-check", "--n", str(n_total), "--layout", layout], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINS[key]
 
 
 class TestScheduleDump:

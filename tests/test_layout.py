@@ -117,7 +117,7 @@ class TestConflictFreedom:
     @pytest.mark.parametrize("n_total", [16, 64, 256, 1024, 4096])
     def test_shifted_has_no_violations(self, n_total):
         report = verify_conflict_free(n_total)
-        assert report.violations == []
+        assert len(report.violations) == 0
         assert report.pairs_checked > 0
 
     def test_sequential_counterexample(self):
@@ -148,11 +148,31 @@ class TestConflictFreedom:
                 j = i + (1 << t)
                 pairs += 1
                 if i % n == j % n:
-                    want.append({"i": i, "j": j, "bank": i % n, "t": t})
+                    want.append((i, j, i % n, t))
             t += 1
         report = verify_conflict_free(n_total, kind="sequential")
-        assert report.violations == want
+        assert report.violations.tolist() == want
         assert report.pairs_checked == pairs
+
+    @pytest.mark.parametrize("k", range(4, 15, 2))
+    def test_sequential_count_closed_form(self, k):
+        # with n = 2^h banks, i and i + 2^t share bank i mod n exactly when
+        # n divides 2^t, i.e. t >= h: every such pair is a violation
+        n_total, h = 1 << k, k // 2
+        report = verify_conflict_free(n_total, kind="sequential")
+        assert len(report.violations) == sum(n_total - (1 << t) for t in range(h, k))
+        assert report.pairs_checked == sum(n_total - (1 << t) for t in range(k))
+        if k == 14:
+            assert len(report.violations) == 98432
+
+    def test_violation_fields(self):
+        report = verify_conflict_free(64, kind="sequential")
+        assert report.violations.dtype.names == ("i", "j", "bank", "t")
+        assert all(report.violations.dtype[name] == np.int64 for name in ("i", "j", "bank", "t"))
+        assert verify_conflict_free(64).violations.dtype == report.violations.dtype
+        assert ConflictReport(N=64, kind="shifted", pairs_checked=0).to_json_lines() == (
+            '{"N": 64, "layout": "shifted", "pairs_checked": 0, "violations": 0}\n'
+        )
 
     def test_report_json_lines(self):
         report = verify_conflict_free(16, kind="sequential")

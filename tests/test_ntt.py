@@ -219,8 +219,8 @@ class TestInverseTransform:
 
     @pytest.mark.parametrize("bits", [40, 62])
     def test_wide_modulus_batch_roundtrip(self, bits):
-        # above 32 bits every stage's Barrett multiply takes its high words
-        # from 32-bit partial products
+        # above 32 bits every stage multiplies by Shoup's quotient product,
+        # whose high words come from 32-bit partial products
         n = 64
         mod = ntt_modulus(bits, n)
         tw = gen_twiddles(mod, n)
