@@ -110,14 +110,18 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
     by the rule in the module docstring.
 
     The command uses --input, and also --input-b for polymul and for sim
-    --op mult|polymul. settle(N, moduli) checks the rest of the command
-    before any operand is drawn; its result is returned with the
-    operands [a, b], each an RnsPolynomial over the moduli (b is None
-    when the command takes one operand).
+    --op mult|polymul; the others refuse --input-b. settle(N, moduli)
+    checks the rest of the command before any operand is drawn; its
+    result is returned with the operands [a, b], each an RnsPolynomial
+    over the moduli (b is None when the command takes one operand).
     """
     names = ["input"]
     if opts.command == "polymul" or opts.command == "sim" and opts.op in ("mult", "polymul"):
         names.append("input_b")
+    elif opts.input_b is not None:
+        command = f"sim --op {opts.op}" if opts.command == "sim" else opts.command
+        raise ValueError(f"{command} takes one operand; "
+                         "--input-b is for polymul and sim --op mult|polymul")
     files = {}
     for name in names:
         if opts[name] is not None:

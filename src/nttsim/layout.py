@@ -1,7 +1,7 @@
 """Bank placement for the accelerator's n x n coefficient memory.
 
-N coefficients live in n = sqrt(N) banks of depth n. Row r of the logical
-matrix is rotated right by r banks:
+N coefficients live in n = sqrt(N) banks of depth n, where square_side
+checks N: a power of two, even log2, N >= 16. Row r is rotated right by r banks:
 
     (address, bank) = (i // n, (i mod n + i // n) mod n)
 
@@ -22,25 +22,28 @@ _ROTATION = {"shifted": 1, "sequential": 0}
 KINDS = tuple(_ROTATION)
 
 
-def _sqrt_banks(n_total: int) -> int:
+def square_side(n_total: int) -> int:
     bits = n_total.bit_length() - 1
-    if n_total < 2 or n_total & (n_total - 1):
-        raise ValueError(f"N={n_total} is not a power of two")
-    if bits % 2:
-        raise ValueError(f"N={n_total} has odd log2; the layout needs a square")
-    if n_total <= 4:
-        raise ValueError("the layout requires N > 4 (more than two banks)")
+    if n_total < 16 or n_total & (n_total - 1) or bits % 2:
+        raise ValueError(f"N={n_total} unsupported: the square memory needs "
+                         "a power of two with even log2 and N >= 16")
     return 1 << (bits // 2)
+
+
+def check_kind(kind: str) -> str:
+    if kind not in KINDS:
+        raise ValueError(f"unknown layout kind {kind!r}; expected {KINDS}")
+    return kind
 
 
 def place(i: int, n: int) -> Tuple[int, int]:
     """Shifted placement of coefficient i into (address, bank)."""
-    return LayoutMap(n * n, n).place(i)
+    return make_layout(n * n).place(i)
 
 
 def coefficient_at(addr: int, bank: int, n: int) -> int:
     """Inverse of place: which coefficient sits in (address, bank)."""
-    return LayoutMap(n * n, n).coefficient_at(addr, bank)
+    return make_layout(n * n).coefficient_at(addr, bank)
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,7 @@ class LayoutMap:
 
 
 def make_layout(n_total: int, kind: str = "shifted") -> LayoutMap:
-    if kind not in KINDS:
-        raise ValueError(f"unknown layout kind {kind!r}; expected {KINDS}")
-    return LayoutMap(N=n_total, n=_sqrt_banks(n_total), kind=kind)
+    return LayoutMap(kind=check_kind(kind), N=n_total, n=square_side(n_total))
 
 
 # one row per violation: the pair (i, j = i + 2^t) shares bank `bank`

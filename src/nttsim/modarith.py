@@ -196,8 +196,6 @@ def half_mod(x: int, q: int) -> int:
 
 def _pollard_rho(x: int) -> int:
     """One nontrivial factor of composite odd x."""
-    if x % 2 == 0:
-        return 2
     rand = random.Random(x)
     for _ in range(64):
         y = rand.randrange(2, x - 1)
@@ -223,8 +221,6 @@ def _factorize(x: int) -> set:
     stack = [x] if x > 1 else []
     while stack:
         v = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             factors.add(v)
             continue

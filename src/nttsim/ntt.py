@@ -32,11 +32,11 @@ import numpy as np
 from nttsim.modarith import (
     BLOCK_ELEMS,
     Modulus,
-    barrett_mul_hw_into,
+    barrett_mul_hw_batch,
+    barrett_precompute,
     check_reduced,
     find_primitive_root,
     half_mod_into,
-    mul_blocks,
     reduce_once_into,
     shoup_mul_into,
     shoup_precompute,
@@ -233,11 +233,10 @@ def intt_gs_array(values, tw: TwiddleTable) -> np.ndarray:
 
 
 def pointwise_mul_array(a, b, mod: Modulus) -> np.ndarray:
-    a = check_reduced(np.asarray(a, dtype=np.uint64), mod.q)
-    b = check_reduced(np.asarray(b, dtype=np.uint64), mod.q)
-    if a.shape != b.shape:
+    """barrett_mul_hw_batch of two arrays of equal shape, not broadcast."""
+    if np.shape(a) != np.shape(b):
         raise ValueError("pointwise operands must have equal shapes")
-    return mul_blocks(barrett_mul_hw_into, a, b, mod)
+    return barrett_mul_hw_batch(a, b, mod)
 
 
 def polymul_ntt_array(a, b, tw: TwiddleTable) -> np.ndarray:
@@ -338,22 +337,15 @@ def write_polynomial(poly: Polynomial, stream: IO[str]) -> None:
         stream.write(f"{int(c)}\n")
 
 
-def read_polynomial(stream: IO[str], mod: Modulus = None) -> Polynomial:
+def read_polynomial(stream: IO[str]) -> Polynomial:
+    """The polynomial in a file, over the modulus its header names."""
     header = stream.readline().split()
     if len(header) != 2:
         raise ValueError("polynomial header must be 'N q'")
-    n, q = int(header[0]), int(header[1])
-    if mod is None:
-        from nttsim.modarith import barrett_precompute
-
-        mod = barrett_precompute(q)
-    elif mod.q != q:
-        raise ValueError(f"file modulus {q} does not match expected {mod.q}")
+    n, mod = int(header[0]), barrett_precompute(int(header[1]))
     lines = stream.read().splitlines()
     while lines and not lines[-1].strip():
         lines.pop()  # trailing blank lines are allowed
     if len(lines) != n:
-        raise ValueError(
-            f"polynomial header says {n} coefficients, the file has {len(lines)}"
-        )
+        raise ValueError(f"polynomial header says {n} coefficients, the file has {len(lines)}")
     return Polynomial.from_ints([int(line) for line in lines], mod)

@@ -99,12 +99,8 @@ def rns_polymul(
     a: RnsPolynomial, b: RnsPolynomial, basis: RnsBasis
 ) -> RnsPolynomial:
     """Component-wise negacyclic product across independent channels."""
-    if a.basis is not basis and a.basis.big_q != basis.big_q:
+    if a.basis.big_q != basis.big_q or b.basis.big_q != basis.big_q:
         raise ValueError("operand bases do not match")
-    if b.basis is not basis and b.basis.big_q != basis.big_q:
-        raise ValueError("operand bases do not match")
-    if a.n != b.n:
-        raise ValueError("polynomial lengths differ")
     products = tuple(
         polymul_ntt(pa, pb, mod)
         for pa, pb, mod in zip(a.residue_polys, b.residue_polys, basis.moduli)

@@ -25,7 +25,7 @@ from typing import IO, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from nttsim.layout import make_layout
+from nttsim.layout import make_layout, square_side
 
 OP_KINDS = ("ntt", "intt", "mult")
 
@@ -145,13 +145,8 @@ class ScheduleTrace:
 
 
 def validate_geometry(n_total: int, npe: int) -> int:
-    bits = n_total.bit_length() - 1
-    if n_total < 16 or n_total & (n_total - 1) or bits % 2:
-        raise ValueError(
-            f"N={n_total} unsupported: the schedule needs a power of two "
-            "with even log2 and N >= 16"
-        )
-    n = 1 << (bits // 2)
+    """n = layout.square_side(N), once Npe is a power of two in [1, n/2]."""
+    n = square_side(n_total)
     if npe < 1 or npe & (npe - 1) or npe > n // 2:
         raise ValueError(f"Npe={npe} must be a power of two in [1, n/2={n // 2}]")
     return n

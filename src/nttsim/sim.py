@@ -60,7 +60,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from nttsim.layout import make_layout
+from nttsim.layout import check_kind, make_layout
 from nttsim.modarith import Modulus, barrett_mul_hw_into, check_reduced, half_mod_into
 from nttsim.ntt import (
     Polynomial,
@@ -400,6 +400,7 @@ def make_sim_config(
     layout_kind: str = "shifted",
 ) -> SimConfig:
     validate_geometry(n_total, npe)
+    check_kind(layout_kind)
     _check_policy(hazard_policy)
     _check_setup(setup_cycles)
     if isinstance(profile, str):

@@ -230,7 +230,9 @@ class TestCriterion4:
 class TestCriterion5:
     def test_exhaustive_small_primes(self):
         with criterion(5, "Barrett variants vs oracle, exhaustive q < 2^12"):
-            budget = 1_000_000  # elements per chunk, sized to stay in cache
+            # elements per chunk: 2^15 words (256 KiB) per array, so the
+            # arrays a chunk holds at once fit a 2 MiB L2 cache
+            budget = 1 << 15
             for q in sieve_primes(1 << 12):
                 if q < 3:
                     continue

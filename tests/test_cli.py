@@ -146,12 +146,40 @@ class TestRejectedInput:
          "an operand file fixes the modulus; --nq needs --q-bits"),
         # with a file, sim needs no --n; only --npe is missing
         (["sim", "--input", "a.poly"], "sim requires --npe"),
+        # --input-b names a second operand: a one-operand command refuses it
+        # rather than ignore it, and opens neither file
+        (["ntt", "--input", "a.poly", "--input-b", "missing.poly"],
+         "ntt takes one operand; --input-b is for polymul and sim --op mult|polymul"),
+        (["intt", "--n", "16", "--q-bits", "14", "--input-b", "a.poly"],
+         "intt takes one operand; --input-b is for polymul and sim --op mult|polymul"),
+        (["sim", "--input", "a.poly", "--npe", "2", "--op", "ntt", "--input-b", "missing.poly"],
+         "sim --op ntt takes one operand; --input-b is for polymul and sim --op mult|polymul"),
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "14", "--op", "intt",
+          "--input-b", "a.poly"],
+         "sim --op intt takes one operand; --input-b is for polymul and sim --op mult|polymul"),
+        # commands that need N or Npe and are given none
+        (["predict", "--npe", "2"], "predict requires --n and --npe"),
+        (["layout-check"], "layout-check requires --n"),
+        (["schedule", "dump", "--n", "16"], "schedule dump requires --n and --npe"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.poly").write_text(A_POLY)
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("n_total", [-16, 0, 1, 4, 8, 12, 32, 2048])
+    def test_one_geometry_message(self, capsys, n_total):
+        """Every command on the square memory refuses an N outside it with
+        the layout's one message."""
+        n = str(n_total)
+        line = (f"error: N={n_total} unsupported: the square memory needs "
+                "a power of two with even log2 and N >= 16\n")
+        for args in (["sim", "--n", n, "--npe", "2", "--q", "7681"],
+                     ["predict", "--n", n, "--npe", "2"],
+                     ["schedule", "dump", "--n", n, "--npe", "2"],
+                     ["layout-check", "--n", n]):
+            assert run_cli(args, capsys) == (1, "", line), args
 
     @pytest.mark.parametrize("flags", [
         ["--n", "16"], ["--q", "16193"], ["--q-bits", "14"], ["--n", "16", "--q-bits", "14"],
@@ -527,6 +555,28 @@ class TestConfigFile:
         code, out, _err = run_cli(["--config", str(cfg)], capsys)
         assert code == 0
         assert out.strip() == "768"
+
+    def test_blank_lines_and_comments_ignored(self, tmp_path, capsys):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("command = predict\nn = 4096\nnpe = 16\n")
+        noisy = tmp_path / "noisy.cfg"
+        noisy.write_text(
+            "# predict at N=4096\n\ncommand = predict  # the subcommand\n"
+            "   \nn = 4096\n\t# indented comment\nnpe = 16\n\n"
+        )
+        expected = run_cli(["--config", str(plain)], capsys)
+        assert expected == (0, "1555\n", "")
+        assert run_cli(["--config", str(noisy)], capsys) == expected
+
+    @pytest.mark.parametrize("text,message", [
+        ("command = predict\nn 4096\n", "{cfg}:2: expected 'key = value'"),
+        ("n = 4096\nnpe = 16\n", "no command given on the command line or in the config"),
+    ])
+    def test_malformed_config(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        expected = (1, "", f"error: {message.format(cfg=cfg)}\n")
+        assert run_cli(["--config", str(cfg)], capsys) == expected
 
 
 class TestSeededGenerator:

@@ -89,6 +89,20 @@ class TestLayoutMap:
         with pytest.raises(ValueError):
             make_layout(100)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_module_functions_check_the_geometry(self, n):
+        # a 2x2 or 3x3 memory is no supported geometry, so there is no
+        # placement to answer with
+        message = f"N={n * n} unsupported: the square memory needs"
+        with pytest.raises(ValueError, match=message):
+            place(0, n)
+        with pytest.raises(ValueError, match=message):
+            coefficient_at(0, 0, n)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown layout kind 'diagonal'"):
+            make_layout(16, "diagonal")
+
 
 class TestBothKinds:
     @pytest.mark.parametrize("kind", ["shifted", "sequential"])

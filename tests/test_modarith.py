@@ -336,6 +336,16 @@ class TestFindNttPrime:
         with pytest.raises(ValueError):
             find_ntt_prime(8, 64, 50)
 
+    @pytest.mark.parametrize("bits,n,message", [
+        (63, 16, "bits must be <= 62"),
+        (20, 12, "N=12 is not a power of two"),
+        (20, 1, "N=1 is not a power of two"),
+        (10, 512, r"2N=1024 does not fit below 2\^10"),
+    ])
+    def test_rejects_unsupported_request(self, bits, n, message):
+        with pytest.raises(ValueError, match=message):
+            find_ntt_prime(bits, n)
+
 
 @st.composite
 def residue_pairs(draw):

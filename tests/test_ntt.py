@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nttsim.modarith import barrett_precompute, ntt_modulus
-from nttsim import ntt
+from nttsim import modarith, ntt
 from nttsim.rns import RnsBasis
 from nttsim.ntt import (
     Polynomial,
@@ -319,6 +319,34 @@ class TestPointwise:
         mod8 = ntt_modulus(14, 8)
         with pytest.raises(ValueError):
             pointwise_mul(poly17([1] * 4), Polynomial.from_ints([0] * 8, mod8), Q17)
+
+    def test_modulus_mismatch(self):
+        other = Polynomial.from_ints([1] * 4, barrett_precompute(97))
+        with pytest.raises(ValueError, match="polynomial moduli differ"):
+            pointwise_mul(poly17([1] * 4), other, Q17)
+
+    def test_unequal_shapes_are_not_broadcast(self):
+        mod = ntt_modulus(14, 8)
+        row, rows = np.ones(8, np.uint64), np.ones((2, 8), np.uint64)
+        with pytest.raises(ValueError, match="pointwise operands must have equal shapes"):
+            ntt.pointwise_mul_array(row, rows, mod)
+        with pytest.raises(ValueError, match="^operands must have equal shapes"):
+            ntt.schoolbook_negacyclic_array(row, rows, mod)
+
+    def test_products_come_from_the_checked_hardware_kernel(self, monkeypatch):
+        calls = []
+
+        def spy(a, b, mod):
+            calls.append(np.shape(a))
+            return modarith.barrett_mul_hw_batch(a, b, mod)
+
+        monkeypatch.setattr(ntt, "barrett_mul_hw_batch", spy)
+        mod = ntt_modulus(40, 8)
+        a = np.arange(16, dtype=np.uint64).reshape(2, 8) * 12345
+        got = ntt.pointwise_mul_array(a, a[::-1], mod)
+        assert calls == [(2, 8)]
+        assert got.tolist() == [[x * y % mod.q for x, y in zip(ra, rb)]
+                                for ra, rb in zip(a.tolist(), a[::-1].tolist())]
 
 
 class TestPolymul:

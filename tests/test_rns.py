@@ -149,3 +149,10 @@ class TestRnsPolymul:
         pb = decompose([0] * 8, b2)
         with pytest.raises(ValueError):
             rns_polymul(pa, pb, b1)
+        with pytest.raises(ValueError, match="operand bases do not match"):
+            rns_polymul(pb, pa, b1)
+
+    def test_length_mismatch_rejected_before_any_product(self):
+        basis = gen_basis(14, 2, 16)
+        with pytest.raises(ValueError, match="polynomial lengths differ"):
+            rns_polymul(decompose([0] * 8, basis), decompose([0] * 16, basis), basis)

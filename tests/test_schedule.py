@@ -49,6 +49,10 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(-1, 2, 15, 14)
 
+    def test_rejects_unknown_op_kind(self):
+        with pytest.raises(ValueError, match="unknown op kind 'fft'"):
+            PROFILES["q32"].delay_pe("fft")
+
 
 class TestBuildValidation:
     def test_rejects_odd_log2(self):

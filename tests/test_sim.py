@@ -762,10 +762,50 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="not reduced"):
             run(cfg, a, op="ntt")
 
+    def test_rejects_unknown_profile_and_missing_moduli(self):
+        with pytest.raises(ValueError, match="unknown profile 'q99'"):
+            make_sim_config(16, 2, q_bits=14, profile="q99")
+        with pytest.raises(ValueError, match="either q_bits or explicit moduli are required"):
+            make_sim_config(16, 2)
+
+    def test_rejects_unknown_layout_kind_when_built(self):
+        with pytest.raises(ValueError, match="unknown layout kind 'bogus'"):
+            make_sim_config(16, 2, q_bits=14, layout_kind="bogus")
+
+    def test_predicted_cycles_rejects_unknown_op(self):
+        with pytest.raises(ValueError, match="unknown op 'fft'"):
+            predicted_cycles(16, 2, PROFILES["ideal"], 0, "fft")
+
     @pytest.mark.parametrize("kwargs", [{"q_bits": 14, "n_q": 0}, {"moduli": []}])
     def test_rejects_empty_modulus_list(self, kwargs):
         with pytest.raises(ValueError, match="at least one modulus"):
             make_sim_config(16, 2, **kwargs)
+
+    def test_run_rejects_unknown_op_and_missing_operand(self):
+        cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
+        a = random_poly(cfg.moduli[0], 16, 40)
+        with pytest.raises(ValueError, match="unknown op 'fft'"):
+            run(cfg, a, a, op="fft")
+        for op in ("mult", "polymul"):
+            with pytest.raises(ValueError, match=f"op '{op}' needs a second operand"):
+                run(cfg, a, op=op)
+
+    def test_run_rejects_operands_that_do_not_fit_the_config(self):
+        cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
+        mod = cfg.moduli[0]
+        other = ntt_modulus(14, 16, 1)
+        two = gen_basis(14, 2, 16)
+        cases = [
+            ([0] * 16, "a must be a Polynomial or RnsPolynomial"),
+            (decompose([0] * 16, two), "a has 2 channels but the config has 1 moduli"),
+            (random_poly(other, 16, 41), f"a channel modulus {other.q} != config {mod.q}"),
+            (random_poly(mod, 64, 42), "a length 64 != configured N 16"),
+        ]
+        for a, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run(cfg, a, op="ntt")
+        with pytest.raises(ValueError, match="b length 64 != configured N 16"):
+            run(cfg, random_poly(mod, 16, 43), random_poly(mod, 64, 44), op="mult")
 
     def test_modulus_must_support_transform(self):
         mod = ntt_modulus(14, 8)  # q = 1 mod 16 only
