@@ -6,14 +6,16 @@ sim (cycle-accurate replay), schedule dump (trace CSV), layout-check
 
 Options may come from a flat key=value config file (one nesting level
 for the pipeline profile, as in ``pipeline.delay_read``); command-line
-flags override file values, and both are checked alike. Identical
-config and seed produce byte-identical output.
+flags override file values, and both are checked alike; --op, --profile,
+--policy and --layout take their choices from the library's own tables.
+Identical config and seed produce byte-identical output.
 
 ntt, intt, polymul and sim decide N, the moduli and their operands by
 one rule. An operand file fixes N and q for every command, sim included,
 so with a file sim needs no --n; --n, --q and --q-bits may repeat what
 the files say but not change it, and two operand files must agree. A
-file gives one modulus, so an --nq other than 1 beside it is refused. An
+file gives one modulus, so an --nq other than 1 beside it is refused.
+Every check, q = 1 mod 2N included, comes before the first draw. An
 operand without a file is drawn from a splitmix64 stream (64-bit state;
 increment 0x9E3779B97F4A7C15, mix constants 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB): drawn operands take the stream's values in operand
@@ -50,6 +52,7 @@ from nttsim.sim import (
     SimHazardError,
     SimMismatchError,
     make_sim_config,
+    op_steps,
     predicted_cycles,
     run,
 )
@@ -76,18 +79,12 @@ class Options(dict):
 
 
 def _pipeline(opts: Options):
-    name = opts.profile
-    if name not in PROFILES:
-        raise ValueError(f"unknown profile {name!r}; expected {list(PROFILES)}")
-    pipe = PROFILES[name]
-    overrides = {
-        f.name: opts[f"pipeline.{f.name}"]
-        for f in fields(PipelineConfig)
-        if opts[f"pipeline.{f.name}"] is not None
-    }
+    pipe = PROFILES[opts.profile]
+    overrides = {f.name: opts[f"pipeline.{f.name}"] for f in fields(PipelineConfig)
+                 if opts[f"pipeline.{f.name}"] is not None}
     if overrides:
         return replace(pipe, **overrides), "custom"
-    return pipe, name
+    return pipe, opts.profile
 
 
 def _write_output(text: str, path: Optional[str]) -> None:
@@ -116,7 +113,7 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
     over the moduli (b is None when the command takes one operand).
     """
     names = ["input"]
-    if opts.command == "polymul" or opts.command == "sim" and opts.op in ("mult", "polymul"):
+    if "mult" in op_steps(opts.op if opts.command == "sim" else opts.command):
         names.append("input_b")
     elif opts.input_b is not None:
         command = f"sim --op {opts.op}" if opts.command == "sim" else opts.command
@@ -169,12 +166,11 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
 
 
 def _cmd_reference(opts: Options) -> int:
-    mod, (a, b) = _operands(opts, lambda n, moduli: moduli[0])
+    tw, (a, b) = _operands(opts, lambda n, moduli: cached_twiddles(moduli[0], n))
     (a,) = a.residue_polys
     if opts.command == "polymul":
-        result = polymul_ntt(a, b.residue_polys[0], mod)
+        result = polymul_ntt(a, b.residue_polys[0], tw.mod)
     else:
-        tw = cached_twiddles(mod, a.n)
         result = ntt_ct(a, tw) if opts.command == "ntt" else intt_gs(a, tw)
     buf = io.StringIO()
     write_polynomial(result, buf)
@@ -202,8 +198,8 @@ def _cmd_layout_check(opts: Options) -> int:
 def _cmd_schedule_dump(opts: Options) -> int:
     if opts.n is None or opts.npe is None:
         raise ValueError("schedule dump requires --n and --npe")
-    op = opts.op if opts.op != "polymul" else "ntt"
-    trace = build_schedule(opts.n, opts.npe, op, layout_kind=opts.layout)
+    # an op's schedule is that of its first step: polymul dumps its ntt
+    trace = build_schedule(opts.n, opts.npe, op_steps(opts.op)[0], layout_kind=opts.layout)
     buf = io.StringIO()
     export_csv(trace, buf)
     _write_output(buf.getvalue(), opts.output)
@@ -265,7 +261,7 @@ OPTIONS = {
     "q": (str, None, None, "explicit prime modulus (comma list for RNS)"),
     "q_bits": (int, None, None, "modulus bit width"),
     "nq": (int, None, 1, "number of RNS moduli"),
-    "profile": (str, None, "q32", "pipeline profile: q32, q14 or ideal"),
+    "profile": (str, PROFILES, "q32", "pipeline profile"),
     **{f"pipeline.{f.name}": (int, None, None, None) for f in fields(PipelineConfig)},
     "setup_cycles": (int, None, 0, None),
     "policy": (str, HAZARD_POLICIES, "stall", None),

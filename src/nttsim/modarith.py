@@ -23,7 +23,7 @@ the plain one up to 32 bits; the exhaustive test sweeps use them.
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,15 +99,13 @@ class BarrettTrace(NamedTuple):
     z: int
 
 
-def barrett_precompute(q: int, two_n: Optional[int] = None) -> Modulus:
-    """Validate a prime, and q = 1 mod two_n if given; derive its Barrett
-    constants."""
+def barrett_precompute(q: int) -> Modulus:
+    """Validate a prime and derive its Barrett constants. Whether q has an
+    N-point transform (q = 1 mod 2N) is ntt.gen_twiddles' check."""
     if not 3 <= q < 2**62:
         raise ValueError(f"modulus {q} outside supported range [3, 2^62)")
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    if two_n is not None and q % two_n != 1:
-        raise ValueError(f"{q} is not congruent to 1 mod {two_n}")
     k = q.bit_length()
     return Modulus(q=q, k=k, m=(1 << (2 * k)) // q)
 
@@ -272,8 +270,7 @@ def find_ntt_prime(bits: int, n: int, index: int = 0) -> int:
 def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
     """A transform-ready modulus: a prime q = 1 mod 2N and its Barrett
     constants, from which gen_twiddles derives the N-point tables."""
-    q = find_ntt_prime(bits, n, index)
-    return barrett_precompute(q, two_n=2 * n)
+    return barrett_precompute(find_ntt_prime(bits, n, index))
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,8 @@ class TwiddleTable:
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
-    """Derive psi = g^((q-1)/2N) by builtin pow, g the smallest primitive root
-    mod q, and lay out both tables in bit-reversed order. The only user of g."""
+    """The one check of q = 1 mod 2N; psi = g^((q-1)/2N) by builtin pow, g the
+    smallest primitive root mod q (its only use); both tables in bit-reversed order."""
     bits = _check_power_of_two(n)
     q = mod.q
     if q % (2 * n) != 1:

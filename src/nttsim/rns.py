@@ -45,8 +45,8 @@ class RnsBasis:
         return cls(tuple(moduli), big_q, tuple(weights))
 
     @classmethod
-    def from_primes(cls, primes: Sequence[int], two_n: int = None) -> "RnsBasis":
-        return cls.from_moduli([barrett_precompute(q, two_n) for q in primes])
+    def from_primes(cls, primes: Sequence[int]) -> "RnsBasis":
+        return cls.from_moduli([barrett_precompute(q) for q in primes])
 
     @property
     def n_q(self) -> int:

@@ -35,6 +35,13 @@ MAX_CYCLES = 1 << 32
 Cell = Tuple[int, int]  # (bank, address)
 
 
+def check_op_kind(op_kind: str) -> str:
+    """op_kind itself, once it names a trace kind."""
+    if op_kind not in OP_KINDS:
+        raise ValueError(f"unknown op kind {op_kind!r}; expected one of {OP_KINDS}")
+    return op_kind
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Stage depths of the memory path and the butterfly datapath.
@@ -56,13 +63,9 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be below 2^32")
 
     def delay_pe(self, op_kind: str) -> int:
-        if op_kind == "ntt":
-            return self.delay_pe_ntt
-        if op_kind == "intt":
-            return self.delay_pe_ntt + 1
-        if op_kind == "mult":
+        if check_op_kind(op_kind) == "mult":
             return self.delay_pe_mult
-        raise ValueError(f"unknown op kind {op_kind!r}")
+        return self.delay_pe_ntt + (op_kind == "intt")
 
     def total_delay(self, op_kind: str) -> int:
         return self.delay_read + self.delay_write + self.delay_pe(op_kind)
@@ -192,8 +195,7 @@ def build_schedule(
     n_total: int, npe: int, op_kind: str, layout_kind: str = "shifted"
 ) -> ScheduleTrace:
     """Compute the access trace's columns, stage by stage."""
-    if op_kind not in OP_KINDS:
-        raise ValueError(f"unknown op kind {op_kind!r}; expected one of {OP_KINDS}")
+    check_op_kind(op_kind)
     n = validate_geometry(n_total, npe)
     cells = make_layout(n_total, layout_kind).cells
     if op_kind == "mult":

@@ -82,8 +82,17 @@ from nttsim.schedule import (
     validate_geometry,
 )
 
-POLYMUL_SEQUENCE = ("ntt", "ntt", "mult", "intt")
-OPS = ("ntt", "intt", "mult", "polymul")
+# each op and the trace kinds it runs, in order; a mult step reads operand b
+OP_STEPS = {"ntt": ("ntt",), "intt": ("intt",), "mult": ("mult",),
+            "polymul": ("ntt", "ntt", "mult", "intt")}
+OPS = tuple(OP_STEPS)
+
+
+def op_steps(op: str) -> Tuple[str, ...]:
+    """The trace kinds op runs, in order."""
+    if op not in OP_STEPS:
+        raise ValueError(f"unknown op {op!r}; expected one of {OPS}")
+    return OP_STEPS[op]
 
 
 class HazardEvent(NamedTuple):
@@ -399,6 +408,8 @@ def make_sim_config(
     hazard_policy: str = "stall",
     layout_kind: str = "shifted",
 ) -> SimConfig:
+    """Check every input, then build the config. The moduli default to gen_basis;
+    building run()'s twiddle tables refuses a q that is not 1 mod 2N."""
     validate_geometry(n_total, npe)
     check_kind(layout_kind)
     _check_policy(hazard_policy)
@@ -415,6 +426,8 @@ def make_sim_config(
         moduli = gen_basis(q_bits, n_q, n_total).moduli
     if not moduli:
         raise ValueError("at least one modulus is required")
+    for mod in moduli:
+        cached_twiddles(mod, n_total)
     return SimConfig(
         N=n_total,
         npe=npe,
@@ -434,7 +447,7 @@ def predicted_cycles(
     setup_cycles: int,
     op: str,
 ) -> int:
-    """Closed-form cycle count: issue term plus fixed overhead.
+    """Closed-form cycle count: per step, issue term plus fixed overhead.
 
     (N log2 N) / (2 Npe) for the transforms, N / Npe for the pointwise
     pass. Refused when the RAW bound is violated, because stalls make
@@ -442,25 +455,19 @@ def predicted_cycles(
     """
     validate_geometry(n_total, npe)
     _check_setup(setup_cycles)
-    if op == "polymul":
-        return sum(
-            predicted_cycles(n_total, npe, pipeline, setup_cycles, kind)
-            for kind in POLYMUL_SEQUENCE
-        )
-    if op in ("ntt", "intt"):
-        bound = check_raw_bound(n_total, npe, pipeline, op_kind=op)
-        if not bound.satisfied:
-            raise ValueError(
-                f"RAW bound violated (delay {bound.total_delay} >= "
-                f"bound {bound.bound}); the closed form does not apply"
-            )
-        k = n_total.bit_length() - 1
-        issue = n_total * k // (2 * npe)
-    elif op == "mult":
+    total = 0
+    for kind in op_steps(op):
         issue = n_total // npe
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    return issue + pipeline.total_delay(op) + setup_cycles
+        if kind != "mult":
+            bound = check_raw_bound(n_total, npe, pipeline, op_kind=kind)
+            if not bound.satisfied:
+                raise ValueError(
+                    f"RAW bound violated (delay {bound.total_delay} >= "
+                    f"bound {bound.bound}); the closed form does not apply"
+                )
+            issue = issue * (n_total.bit_length() - 1) // 2
+        total += issue + pipeline.total_delay(kind) + setup_cycles
+    return total
 
 
 @dataclass
@@ -585,7 +592,7 @@ def run(
     b: Union[Polynomial, RnsPolynomial, None] = None,
     op: str = "ntt",
 ) -> SimReport:
-    """Time, replay and verify one operation (or the polymul sequence).
+    """Time, replay and verify one op, step by step as OP_STEPS lists it.
 
     detect_hazards times each distinct trace once for all RNS channels,
     so polymul's two forward transforms append the same report; under
@@ -594,14 +601,12 @@ def run(
     must equal the reference transform of the input it read from that
     memory, stalls or not.
     """
-    if op not in OPS:
-        raise ValueError(f"unknown op {op!r}")
+    sequence = op_steps(op)
     a_chan = _channels(a, config.moduli, config.N, "a")
     b_chan = _channels(b, config.moduli, config.N, "b")
-    if op in ("mult", "polymul") and b_chan is None:
+    if "mult" in sequence and b_chan is None:
         raise ValueError(f"op {op!r} needs a second operand")
 
-    sequence = POLYMUL_SEQUENCE if op == "polymul" else (op,)
     # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
     cells = make_layout(config.N, config.layout_kind).cells(np.arange(config.N))
     held = np.argsort(cells)  # the coefficient each cell holds

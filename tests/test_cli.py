@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nttsim
-from nttsim import cli
+from nttsim import cli, layout, schedule, sim
 from nttsim.cli import main, splitmix64
 from nttsim.modarith import barrett_precompute
 from nttsim.ntt import Polynomial, schoolbook_negacyclic
@@ -54,6 +54,17 @@ class TestValidation:
         )
         assert code == 0
         assert out.read_text().splitlines()[0].startswith("8 ")
+
+    def test_choices_come_from_the_library(self):
+        """Every enumerated option but the command and the report format
+        reads the library's own table, so no hand-written list can drift
+        from it."""
+        tables = {"op": sim.OPS, "policy": sim.HAZARD_POLICIES, "layout": layout.KINDS,
+                  "profile": schedule.PROFILES}
+        enumerated = {key for key, option in cli.OPTIONS.items() if option[1] is not None}
+        assert enumerated - {"command", "format"} == set(tables)
+        for key, table in tables.items():
+            assert cli.OPTIONS[key][1] is table, key
 
     def test_unknown_profile(self, capsys):
         code, _out, err = run_cli(
@@ -161,10 +172,16 @@ class TestRejectedInput:
         (["predict", "--npe", "2"], "predict requires --n and --npe"),
         (["layout-check"], "layout-check requires --n"),
         (["schedule", "dump", "--n", "16"], "schedule dump requires --n and --npe"),
+        # the profile is a choice of schedule.PROFILES, refused when parsed
+        (["predict", "--profile", "q99"],
+         "profile: invalid choice 'q99' (choose from q32, q14, ideal)"),
+        (["--config", "q99.cfg"],
+         "q99.cfg:4: profile: invalid choice 'q99' (choose from q32, q14, ideal)"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.poly").write_text(A_POLY)
+        (tmp_path / "q99.cfg").write_text("command = predict\nn = 16\nnpe = 2\nprofile = q99\n")
         code, out, err = run_cli(args, capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -204,6 +221,10 @@ class TestRejectedInput:
         ["sim", "--input", "missing.poly", "--n", "16", "--npe", "2", "--q-bits", "14"],
         ["sim", "--input", "a.poly", "--n", "16", "--npe", "2", "--q", "193"],
         ["polymul", "--n", "16", "--q-bits", "14", "--input-b", "missing.poly"],
+        # q = 16369 is 1 mod 16, not mod 2N = 512: no N-point transform
+        ["sim", "--n", "256", "--npe", "8", "--q", "16369"],
+        ["ntt", "--n", "256", "--q", "16369"],
+        ["polymul", "--n", "256", "--q", "16369"],
     ])
     def test_no_draw_before_validation(self, tmp_path, monkeypatch, capsys, args):
         def no_draws(seed):

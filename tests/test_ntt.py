@@ -37,7 +37,7 @@ from conftest import (
     negacyclic_schoolbook_oracle,
 )
 
-Q17 = barrett_precompute(17, two_n=8)
+Q17 = barrett_precompute(17)
 
 
 def poly17(coeffs):
@@ -64,8 +64,9 @@ class TestTwiddles:
             assert tw.forward.tolist() != tw.inverse.tolist()
 
     def test_rejects_bad_congruence(self):
+        # the one home of q = 1 mod 2N: 7 has no 4-point negacyclic transform
         mod = barrett_precompute(7)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^q=7 is not congruent to 1 mod 8$"):
             gen_twiddles(mod, 4)
 
     @pytest.mark.parametrize("bits,n,q,psi", [
@@ -101,7 +102,7 @@ class TestTwiddles:
         # no root step between barrett_precompute and the transforms
         tw = ntt.cached_twiddles(barrett_precompute(7681), 256)
         assert pow(tw.psi, 256, 7681) == 7680
-        basis = RnsBasis.from_primes([7681, 12289], two_n=512)
+        basis = RnsBasis.from_primes([7681, 12289])
         for mod in basis.moduli:
             a = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)
             b = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)

@@ -50,8 +50,16 @@ class TestPipelineConfig:
             PipelineConfig(-1, 2, 15, 14)
 
     def test_rejects_unknown_op_kind(self):
-        with pytest.raises(ValueError, match="unknown op kind 'fft'"):
-            PROFILES["q32"].delay_pe("fft")
+        # one check, one text, wherever an op kind comes in
+        text = "unknown op kind 'fft'; expected one of ('ntt', 'intt', 'mult')"
+        for call in (
+            lambda: PROFILES["q32"].delay_pe("fft"),
+            lambda: build_schedule(16, 2, "fft"),
+            lambda: check_raw_bound(16, 2, PROFILES["q32"], op_kind="fft"),
+        ):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == text
 
 
 class TestBuildValidation:

@@ -8,6 +8,7 @@ oracle in timing_oracle.py.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -441,7 +442,7 @@ class TestRunProperties:
             want = transform(a.coeffs, tw).tolist()
         assert report.results == [want]
 
-        kinds = sim.POLYMUL_SEQUENCE if op == "polymul" else (op,)
+        kinds = sim.OP_STEPS[op]
         assert [rep.op_kind for rep in report.reports] == list(kinds)
         for kind, rep in zip(kinds, report.reports):
             static = detect_hazards(build_schedule(n_total, npe, kind, layout), pipe, setup)
@@ -641,7 +642,7 @@ class TestPolymul:
         b = random_poly(cfg.moduli[0], 64, 26) if op in ("mult", "polymul") else None
         report = run(cfg, a, b, op=op)
         assert walks == want
-        assert len(report.reports) == len(sim.POLYMUL_SEQUENCE if op == "polymul" else [op])
+        assert len(report.reports) == len(sim.OP_STEPS[op])
         if op == "polymul":
             assert report.reports[0] == report.reports[1]
 
@@ -655,7 +656,7 @@ class TestPolymul:
         report = run(cfg, a, b, op="polymul")
         steps = [
             detect_hazards(build_schedule(n_total, npe, kind), cfg.pipeline, cfg.setup_cycles)
-            for kind in sim.POLYMUL_SEQUENCE
+            for kind in sim.OP_STEPS["polymul"]
         ]
         per_step = dataclasses.replace(report, reports=steps)
         assert (report.stall_cycles > 0) == stalls
@@ -772,8 +773,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="unknown layout kind 'bogus'"):
             make_sim_config(16, 2, q_bits=14, layout_kind="bogus")
 
+    # the one text of the one check that refuses an op outside sim.OPS
+    UNKNOWN_OP = "^" + re.escape(
+        "unknown op 'fft'; expected one of ('ntt', 'intt', 'mult', 'polymul')"
+    ) + "$"
+
     def test_predicted_cycles_rejects_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown op 'fft'"):
+        with pytest.raises(ValueError, match=self.UNKNOWN_OP):
             predicted_cycles(16, 2, PROFILES["ideal"], 0, "fft")
 
     @pytest.mark.parametrize("kwargs", [{"q_bits": 14, "n_q": 0}, {"moduli": []}])
@@ -784,7 +790,7 @@ class TestConfigValidation:
     def test_run_rejects_unknown_op_and_missing_operand(self):
         cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
         a = random_poly(cfg.moduli[0], 16, 40)
-        with pytest.raises(ValueError, match="unknown op 'fft'"):
+        with pytest.raises(ValueError, match=self.UNKNOWN_OP):
             run(cfg, a, a, op="fft")
         for op in ("mult", "polymul"):
             with pytest.raises(ValueError, match=f"op '{op}' needs a second operand"):
@@ -808,7 +814,8 @@ class TestConfigValidation:
             run(cfg, random_poly(mod, 16, 43), random_poly(mod, 64, 44), op="mult")
 
     def test_modulus_must_support_transform(self):
-        mod = ntt_modulus(14, 8)  # q = 1 mod 16 only
-        with pytest.raises(ValueError):
-            cfg = make_sim_config(256, 8, moduli=[mod])
-            run(cfg, random_poly(mod, 256, 25), op="ntt")
+        # q = 16369 = 1 mod 16 only: refused when the config is built,
+        # before anything is scheduled, timed or replayed
+        mod = ntt_modulus(14, 8)
+        with pytest.raises(ValueError, match="^q=16369 is not congruent to 1 mod 512$"):
+            make_sim_config(256, 8, moduli=[mod])
