@@ -17,11 +17,15 @@ barrett_mul_soft_into, shoup_mul_into (its quotients from
 shoup_precompute), reduce_once_into and half_mod_into. Above 32 bits the
 hardware and Shoup multiplies take their double-word products from 32-bit
 partial products. The checked ``*_batch`` wrappers take uint64 operands,
-the plain one up to 32 bits; the exhaustive test sweeps use them.
+the plain one up to 32 bits; the exhaustive test sweeps use them. Array
+work runs in cache blocks of BLOCK_ELEMS values, and a range of two or
+more blocks is shared out over the process's CPUs by _run_blocks.
 """
 
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -283,6 +287,57 @@ def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
 # ~15 passes of a kernel over a block run from cache, not memory.
 BLOCK_ELEMS = 1 << 16
 
+# A batch of two or more blocks runs one share of whole blocks on each CPU
+# the process may use; numpy's uint64 loops release the interpreter lock.
+_CPUS = len(os.sched_getaffinity(0))
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    # a forked child inherits the pool's bookkeeping but none of its
+    # threads, so a task submitted to it would never run
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _run_blocks(share, count: int, block: int) -> None:
+    """share(start, stop) over the units [0, count), cut into blocks of
+    `block` units: one share of whole blocks per CPU, capped at the block
+    count, with the calling thread running the first and a thread pool of
+    CPUs - 1 threads the others.
+
+    Shares must write disjoint data and allocate their own scratch, and
+    call only the unchecked kernels. Under two blocks or on one CPU the
+    whole range runs inline and no thread starts. A share's exception
+    reaches the caller once every share has finished.
+    """
+    global _pool
+    blocks = -(-count // block)
+    shares = min(_CPUS, blocks)
+    if shares < 2:
+        share(0, count)
+        return
+    # imported here, so that a process with no batch of several blocks,
+    # such as the nttsim command, never pays for the import
+    from concurrent.futures import ThreadPoolExecutor, wait
+
+    cuts = [min(count, i * blocks // shares * block) for i in range(shares + 1)]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="nttsim-blocks")
+        pool = _pool
+    futures = [pool.submit(share, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    try:
+        share(cuts[0], cuts[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
 
 def check_reduced(values: np.ndarray, q: int) -> np.ndarray:
     """values itself, once checked to lie in [0, q)."""
@@ -436,15 +491,19 @@ def _as_residues(a, q: int) -> np.ndarray:
 
 def mul_blocks(core, a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
     """core(a, b) elementwise over reduced uint64 arrays, one cache block
-    at a time."""
+    at a time, the blocks shared out by _run_blocks."""
     a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape, np.uint64)
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
-    tmp = np.empty(min(out.size, BLOCK_ELEMS), np.uint64)
-    for start in range(0, out.size, BLOCK_ELEMS):
-        block = slice(start, start + BLOCK_ELEMS)
-        x, y = flat_a[block], flat_b[block]
-        core(x, y, mod, flat_out[block], tmp[:len(x)])
+
+    def share(lo: int, hi: int) -> None:
+        tmp = np.empty(min(hi - lo, BLOCK_ELEMS), np.uint64)
+        for start in range(lo, hi, BLOCK_ELEMS):
+            block = slice(start, start + BLOCK_ELEMS)
+            x, y = flat_a[block], flat_b[block]
+            core(x, y, mod, flat_out[block], tmp[:len(x)])
+
+    _run_blocks(share, out.size, BLOCK_ELEMS)
     return out
 
 

@@ -13,7 +13,11 @@ usual final multiplication by N^-1.
 Array functions accept stacks of polynomials (shape (..., N)) and check
 once, on entry, that every value is reduced; inside the stage loop values
 stay reduced by construction. The batch is cut into row blocks of at
-most 2^16 values that stay in cache through all stages. Every stage runs
+most 2^16 values that stay in cache through all stages. A batch of two
+or more blocks runs its blocks on one thread per CPU the process may
+use, the calling thread taking a share; a single block runs on the
+caller alone. The arithmetic is exact, so outputs are identical for any
+thread count. Every stage runs
 the in-place butterfly body ct_stage/gs_stage on uint64 rows, with the
 twiddle multiply passed in. The transforms here multiply by Shoup's
 method (shoup_mul_into) on quotients precomputed with the tables, and
@@ -32,6 +36,7 @@ import numpy as np
 from nttsim.modarith import (
     BLOCK_ELEMS,
     Modulus,
+    _run_blocks,
     barrett_mul_hw_batch,
     barrett_precompute,
     check_reduced,
@@ -189,7 +194,8 @@ def _reduced_copy(values, tw: TwiddleTable) -> np.ndarray:
 
 
 def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, tables, groups) -> None:
-    """Apply butterfly stages in place to x, shape (rows, N), by row blocks.
+    """Apply butterfly stages in place to x, shape (rows, N), by row blocks
+    that _run_blocks shares out.
 
     groups holds each stage's butterfly-group count g: the stage pairs
     halves 0 and 1 of the (g, 2, N/2g) view of every row, multiplying
@@ -199,20 +205,24 @@ def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, tables, groups) -> N
     """
     rows, n = x.shape
     step = max(1, BLOCK_ELEMS // n)  # rows per cache block
-    scratch = np.empty((2, min(rows, step) * n // 2), np.uint64)
-    for start in range(0, rows, step):
-        work = x[start:start + step]
-        r = len(work)
-        s1, s2 = scratch[:, :r * n // 2]
-        for g in groups:
-            pairs, per_group = work.reshape(r, g, 2, n // (2 * g)), (slice(g, 2 * g), None)
-            if n // (2 * g) <= 8:
-                # numpy streams along the g groups, not within each short one
-                pairs, per_group = pairs.transpose(0, 3, 2, 1), slice(g, 2 * g)
-            shape = pairs.shape[:2] + pairs.shape[3:]
-            butterfly(pairs[:, :, 0], pairs[:, :, 1], shoup_mul_into,
-                      [table[per_group] for table in tables], tw.mod,
-                      s1.reshape(shape), s2.reshape(shape))
+
+    def share(lo: int, hi: int) -> None:
+        scratch = np.empty((2, min(hi - lo, step) * n // 2), np.uint64)
+        for start in range(lo, hi, step):
+            work = x[start:start + step]
+            r = len(work)
+            s1, s2 = scratch[:, :r * n // 2]
+            for g in groups:
+                pairs, per_group = work.reshape(r, g, 2, n // (2 * g)), (slice(g, 2 * g), None)
+                if n // (2 * g) <= 8:
+                    # numpy streams along the g groups, not within each short one
+                    pairs, per_group = pairs.transpose(0, 3, 2, 1), slice(g, 2 * g)
+                shape = pairs.shape[:2] + pairs.shape[3:]
+                butterfly(pairs[:, :, 0], pairs[:, :, 1], shoup_mul_into,
+                          [table[per_group] for table in tables], tw.mod,
+                          s1.reshape(shape), s2.reshape(shape))
+
+    _run_blocks(share, rows, step)
 
 
 def ntt_ct_array(values, tw: TwiddleTable) -> np.ndarray:

@@ -4,9 +4,14 @@ Oracles: dense evaluation at odd powers of psi (matrix form), big-integer
 schoolbook convolution, and hand-frozen small cases.
 """
 
+import concurrent.futures
 import hashlib
 import io
 import itertools
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -257,6 +262,162 @@ class TestBlockedBatches:
             assert stacked.shape == shape
             rows = [fn(x, y) for x, y in zip(a.reshape(-1, n), b.reshape(-1, n))]
             np.testing.assert_array_equal(stacked.reshape(-1, n), np.array(rows))
+
+    @pytest.mark.parametrize("bits", [14, 32, 40, 62])
+    def test_identical_for_any_cpu_count(self, bits, monkeypatch):
+        n = 2048
+        mod = ntt_modulus(bits, n)
+        tw = ntt.cached_twiddles(mod, n)
+        gen = np.random.default_rng(bits)
+        a = gen.integers(0, mod.q, size=(100, n), dtype=np.uint64)
+        b = gen.integers(0, mod.q, size=(100, n), dtype=np.uint64)
+        fns = (
+            lambda x, y: ntt_ct_array(x, tw),
+            lambda x, y: intt_gs_array(x, tw),
+            lambda x, y: polymul_ntt_array(x, y, tw),
+            lambda x, y: modarith.barrett_mul_hw_batch(x, y, mod),
+        )
+        # one row is one block, which runs inline whatever the CPU count
+        want = [np.array([fn(x, y) for x, y in zip(a, b)]) for fn in fns]
+        # a block holds 32 rows: 1, 2, 3 and 4 blocks, each leaving a
+        # partial last block, and 3 CPUs cut 4 blocks into shares of 1, 1, 2
+        for rows in (20, 37, 70, 100):
+            for cpus in (1, 3):
+                monkeypatch.setattr(modarith, "_CPUS", cpus)
+                for fn, rowwise in zip(fns, want):
+                    got = fn(a[:rows], b[:rows])
+                    assert got.dtype == np.uint64 and got.shape == (rows, n)
+                    assert got.tobytes() == rowwise[:rows].tobytes()
+
+    @pytest.mark.parametrize("fn", ["ntt", "intt", "polymul", "barrett"])
+    def test_unreduced_last_row_refused_before_any_share(self, fn, monkeypatch):
+        n = 4096
+        mod = ntt_modulus(32, n)
+        tw = ntt.cached_twiddles(mod, n)
+        bad = np.zeros((33, n), dtype=np.uint64)
+        bad[-1, -1] = mod.q
+        ran = []
+        monkeypatch.setattr(modarith, "_CPUS", 3)
+        monkeypatch.setattr(modarith, "_run_blocks", lambda *args: ran.append(args))
+        monkeypatch.setattr(ntt, "_run_blocks", lambda *args: ran.append(args))
+        call = {
+            "ntt": lambda: ntt_ct_array(bad, tw),
+            "intt": lambda: intt_gs_array(bad, tw),
+            "polymul": lambda: polymul_ntt_array(bad, bad, tw),
+            "barrett": lambda: modarith.barrett_mul_hw_batch(bad, bad, mod),
+        }[fn]
+        with pytest.raises(ValueError, match=rf"^operands not reduced mod {mod.q}$"):
+            call()
+        assert ran == []
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("fn", ["polymul", "barrett"])
+    def test_share_exception_reaches_caller(self, fn, where, monkeypatch):
+        n = 4096
+        mod = ntt_modulus(32, n)
+        tw = ntt.cached_twiddles(mod, n)
+        gen = np.random.default_rng(7)
+        a = gen.integers(0, mod.q, size=(33, n), dtype=np.uint64)
+        b = gen.integers(0, mod.q, size=(33, n), dtype=np.uint64)
+        call = {
+            "polymul": lambda: polymul_ntt_array(a, b, tw),
+            "barrett": lambda: modarith.barrett_mul_hw_batch(a, b, mod),
+        }[fn]
+        want = call()
+        monkeypatch.setattr(modarith, "_CPUS", 3)
+        boom = RuntimeError("injected kernel fault")
+        owner, name = (ntt, "shoup_mul_into") if fn == "polymul" else (modarith, "barrett_mul_hw_into")
+        kernel = getattr(owner, name)
+
+        def faulty(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (where == "caller"):
+                raise boom
+            kernel(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, faulty)
+            with pytest.raises(RuntimeError) as raised:
+                call()
+        assert raised.value is boom
+        assert call().tobytes() == want.tobytes()
+
+
+def _forked_digest(conn, a, b, tw):
+    conn.send(hashlib.sha256(polymul_ntt_array(a, b, tw).tobytes()).hexdigest())
+    conn.close()
+
+
+class TestBlockThreads:
+    def test_forked_child_runs_threaded_batches(self, monkeypatch):
+        """A child forked after a threaded batch gets a pool of its own: the
+        one it inherits has bookkeeping for threads that did not survive."""
+        monkeypatch.setattr(modarith, "_CPUS", 2)
+        n = 4096
+        tw = ntt.cached_twiddles(ntt_modulus(32, n), n)
+        gen = np.random.default_rng(11)
+        a = gen.integers(0, tw.mod.q, size=(33, n), dtype=np.uint64)
+        b = gen.integers(0, tw.mod.q, size=(33, n), dtype=np.uint64)
+        want = hashlib.sha256(polymul_ntt_array(a, b, tw).tobytes()).hexdigest()
+        assert modarith._pool is not None  # the child inherits a live pool
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_forked_digest, args=(send, a, b, tw))
+        child.start()
+        send.close()
+        try:
+            got = recv.recv() if recv.poll(30) else None
+            child.join(30)
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == want
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        """Callers on several threads at once, more threads than cores and a
+        short switch interval: one pool is made and every product is exact."""
+        n = 2048
+        tw = ntt.cached_twiddles(ntt_modulus(32, n), n)
+        gen = np.random.default_rng(13)
+        a = gen.integers(0, tw.mod.q, size=(6, 37, n), dtype=np.uint64)
+        b = gen.integers(0, tw.mod.q, size=(6, 37, n), dtype=np.uint64)
+        want = [polymul_ntt_array(x, y, tw) for x, y in zip(a, b)]
+        made = []
+        executor = concurrent.futures.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            time.sleep(0.01)  # widens the window between the check and the store
+            made.append(executor(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(modarith, "_pool", None)
+        monkeypatch.setattr(modarith, "_CPUS", 3)
+        got = [None] * len(a)
+        start = threading.Barrier(len(a))
+
+        def caller(i):
+            start.wait(60)
+            got[i] = polymul_ntt_array(a[i], b[i], tw)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(a))]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in made:
+                pool.shutdown()
+        assert len(made) == 1
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
 
 
 class TestEntryChecks:

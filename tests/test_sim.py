@@ -8,7 +8,10 @@ oracle in timing_oracle.py.
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -683,6 +686,36 @@ class TestPolymul:
             assert chan == poly.to_ints()
         rebuilt = reconstruct(per_channel, basis)
         assert rebuilt == oracle
+
+
+class TestNoThreads:
+    def test_single_block_work_starts_no_thread(self):
+        """run() and batches of one cache block run inline: a fresh
+        interpreter ends them with its main thread alone."""
+        code = """
+import threading
+import numpy as np
+from nttsim import modarith, ntt, sim
+from nttsim.ntt import Polynomial
+modarith._CPUS = max(2, modarith._CPUS)  # a pool could start if one were asked for
+cfg = sim.make_sim_config(4096, 32, q_bits=32, profile="q32")
+mod = cfg.moduli[0]
+gen = np.random.default_rng(5)
+a, b = (gen.integers(0, mod.q, size=(16, 4096), dtype=np.uint64) for _ in range(2))
+sim.run(cfg, Polynomial(a[0], mod), Polynomial(b[0], mod), op="polymul")
+tw = ntt.cached_twiddles(mod, 4096)
+ntt.polymul_ntt_array(a[0], b[0], tw)
+ntt.polymul_ntt_array(a, b, tw)
+print(threading.active_count())
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(sim.__file__)), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "1\n"
 
 
 class TestReport:
