@@ -18,14 +18,15 @@ shoup_precompute), reduce_once_into and half_mod_into. Above 32 bits the
 hardware and Shoup multiplies take their double-word products from 32-bit
 partial products. The checked ``*_batch`` wrappers take uint64 operands,
 the plain one up to 32 bits; the exhaustive test sweeps use them. Array
-work runs in cache blocks of BLOCK_ELEMS values, and a range of two or
-more blocks is shared out over the process's CPUs by _run_blocks.
+work runs in cache blocks of BLOCK_ELEMS values, and _run_blocks shares
+a range of two or more blocks out over the CPUs the process may use
+(os.sched_getaffinity, or os.cpu_count() where that is missing) on
+threads that end with the call.
 """
 
 import math
 import os
 import random
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -245,30 +246,41 @@ def find_primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root found for {q}")
 
 
+def _ntt_primes(bits: int, n: int, index: int = 0):
+    """The primes below 2^bits congruent to 1 mod 2N, largest first from
+    the index-th on, by one downward scan in steps of 2N. The arguments
+    are checked at the first draw, and a draw past the last prime raises."""
+    if bits > 62:
+        raise ValueError("bits must be <= 62")
+    if bits < 0:
+        raise ValueError(f"bit width {bits} is negative")
+    if n < 2 or n & (n - 1):
+        raise ValueError(f"N={n} is not a power of two")
+    two_n = 2 * n
+    if two_n >= 1 << bits:
+        raise ValueError(f"2N={two_n} does not fit below 2^{bits}")
+    if index < 0:
+        raise ValueError(f"prime index {index} is negative")
+    candidate = ((1 << bits) - 2) // two_n * two_n + 1
+    seen = 0
+    while candidate > two_n:
+        if is_prime(candidate):
+            if seen >= index:
+                yield candidate
+            seen += 1
+        candidate -= two_n
+    raise ValueError(
+        f"no prime #{max(seen, index)} below 2^{bits} congruent to 1 mod {two_n}"
+    )
+
+
 def find_ntt_prime(bits: int, n: int, index: int = 0) -> int:
     """index-th largest prime below 2^bits congruent to 1 mod 2N.
 
     Searches downward from 2^bits - 1 in steps of 2N, so the same
     (bits, N, index) always yields the same prime.
     """
-    if bits > 62:
-        raise ValueError("bits must be <= 62")
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"N={n} is not a power of two")
-    two_n = 2 * n
-    if two_n >= 1 << bits:
-        raise ValueError(f"2N={two_n} does not fit below 2^{bits}")
-    candidate = ((1 << bits) - 2) // two_n * two_n + 1
-    seen = 0
-    while candidate > two_n:
-        if is_prime(candidate):
-            if seen == index:
-                return candidate
-            seen += 1
-        candidate -= two_n
-    raise ValueError(
-        f"no prime #{index} below 2^{bits} congruent to 1 mod {two_n}"
-    )
+    return next(_ntt_primes(bits, n, index))
 
 
 def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
@@ -289,33 +301,21 @@ BLOCK_ELEMS = 1 << 16
 
 # A batch of two or more blocks runs one share of whole blocks on each CPU
 # the process may use; numpy's uint64 loops release the interpreter lock.
-_CPUS = len(os.sched_getaffinity(0))
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool() -> None:
-    # a forked child inherits the pool's bookkeeping but none of its
-    # threads, so a task submitted to it would never run
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_pool)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_blocks(share, count: int, block: int) -> None:
     """share(start, stop) over the units [0, count), cut into blocks of
     `block` units: one share of whole blocks per CPU, capped at the block
-    count, with the calling thread running the first and a thread pool of
-    CPUs - 1 threads the others.
+    count, with the calling thread running the first and the threads of
+    this call's own executor the others.
 
     Shares must write disjoint data and allocate their own scratch, and
     call only the unchecked kernels. Under two blocks or on one CPU the
     whole range runs inline and no thread starts. A share's exception
-    reaches the caller once every share has finished.
+    reaches the caller once every share has finished, and no thread
+    outlives the call.
     """
-    global _pool
     blocks = -(-count // block)
     shares = min(_CPUS, blocks)
     if shares < 2:
@@ -323,18 +323,12 @@ def _run_blocks(share, count: int, block: int) -> None:
         return
     # imported here, so that a process with no batch of several blocks,
     # such as the nttsim command, never pays for the import
-    from concurrent.futures import ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
     cuts = [min(count, i * blocks // shares * block) for i in range(shares + 1)]
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_CPUS - 1, thread_name_prefix="nttsim-blocks")
-        pool = _pool
-    futures = [pool.submit(share, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
-    try:
+    with ThreadPoolExecutor(shares - 1, thread_name_prefix="nttsim-blocks") as pool:
+        futures = [pool.submit(share, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
         share(cuts[0], cuts[1])
-    finally:
-        wait(futures)
     for future in futures:
         future.result()
 

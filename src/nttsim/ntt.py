@@ -15,11 +15,11 @@ once, on entry, that every value is reduced; inside the stage loop values
 stay reduced by construction. The batch is cut into row blocks of at
 most 2^16 values that stay in cache through all stages. A batch of two
 or more blocks runs its blocks on one thread per CPU the process may
-use, the calling thread taking a share; a single block runs on the
-caller alone. The arithmetic is exact, so outputs are identical for any
-thread count. Every stage runs
-the in-place butterfly body ct_stage/gs_stage on uint64 rows, with the
-twiddle multiply passed in. The transforms here multiply by Shoup's
+use, the calling thread taking a share and the other threads ending
+with the call; a single block runs on the caller alone. The arithmetic
+is exact, so outputs are identical for any thread count. Every stage
+runs the in-place butterfly body ct_stage/gs_stage on uint64 rows, with
+the twiddle multiply passed in. The transforms here multiply by Shoup's
 method (shoup_mul_into) on quotients precomputed with the tables, and
 their inverse twiddles are stored pre-halved, so the inverse butterfly
 needs no halving after its multiply. The simulator's replay runs the

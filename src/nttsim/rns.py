@@ -10,12 +10,13 @@ Inputs are canonical representatives in [0, Q); centered forms are out of
 scope.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from nttsim.modarith import Modulus, barrett_precompute, ntt_modulus
+from nttsim.modarith import Modulus, _ntt_primes, barrett_precompute
 from nttsim.ntt import Polynomial, _check_power_of_two, polymul_ntt
 
 
@@ -66,11 +67,13 @@ class RnsPolynomial:
 
 
 def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
-    """The n_q largest primes below 2^word_bits congruent to 1 mod 2N: the
-    one prime chain, which the simulator config and the CLI also use."""
+    """The n_q largest primes below 2^word_bits congruent to 1 mod 2N,
+    drawn from one scan of the candidates: the one prime chain, which the
+    simulator config and the CLI also use."""
     if n_q < 1:
         raise ValueError("at least one modulus is required")
-    moduli = [ntt_modulus(word_bits, n, i) for i in range(n_q)]
+    primes = itertools.islice(_ntt_primes(word_bits, n), n_q)
+    moduli = [barrett_precompute(q) for q in primes]
     return RnsBasis.from_moduli(moduli)
 
 

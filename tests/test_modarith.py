@@ -345,10 +345,15 @@ class TestFindNttPrime:
         (20, 12, "N=12 is not a power of two"),
         (20, 1, "N=1 is not a power of two"),
         (10, 512, r"2N=1024 does not fit below 2\^10"),
+        (-1, 16, "bit width -1 is negative"),
     ])
     def test_rejects_unsupported_request(self, bits, n, message):
         with pytest.raises(ValueError, match=message):
             find_ntt_prime(bits, n)
+
+    def test_rejects_negative_index(self):
+        with pytest.raises(ValueError, match="^prime index -1 is negative$"):
+            find_ntt_prime(20, 16, -1)
 
 
 @st.composite

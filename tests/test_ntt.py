@@ -4,14 +4,14 @@ Oracles: dense evaluation at odd powers of psi (matrix form), big-integer
 schoolbook convolution, and hand-frozen small cases.
 """
 
-import concurrent.futures
 import hashlib
 import io
 import itertools
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -350,8 +350,8 @@ def _forked_digest(conn, a, b, tw):
 
 class TestBlockThreads:
     def test_forked_child_runs_threaded_batches(self, monkeypatch):
-        """A child forked after a threaded batch gets a pool of its own: the
-        one it inherits has bookkeeping for threads that did not survive."""
+        """A child forked after a threaded batch runs threaded batches of
+        its own and exits cleanly."""
         monkeypatch.setattr(modarith, "_CPUS", 2)
         n = 4096
         tw = ntt.cached_twiddles(ntt_modulus(32, n), n)
@@ -359,7 +359,6 @@ class TestBlockThreads:
         a = gen.integers(0, tw.mod.q, size=(33, n), dtype=np.uint64)
         b = gen.integers(0, tw.mod.q, size=(33, n), dtype=np.uint64)
         want = hashlib.sha256(polymul_ntt_array(a, b, tw).tobytes()).hexdigest()
-        assert modarith._pool is not None  # the child inherits a live pool
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_forked_digest, args=(send, a, b, tw))
@@ -375,49 +374,85 @@ class TestBlockThreads:
         assert got == want
         assert child.exitcode == 0
 
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        """Callers on several threads at once, more threads than cores and a
-        short switch interval: one pool is made and every product is exact."""
+    @pytest.mark.parametrize("case", ["returned", "worker_raised", "concurrent"])
+    def test_no_thread_outlives_a_call(self, case, monkeypatch):
+        """A threaded batch joins its worker threads before it returns or
+        raises. Six callers at once, more threads than cores and a short
+        switch interval, each get the exact product."""
         n = 2048
         tw = ntt.cached_twiddles(ntt_modulus(32, n), n)
         gen = np.random.default_rng(13)
         a = gen.integers(0, tw.mod.q, size=(6, 37, n), dtype=np.uint64)
         b = gen.integers(0, tw.mod.q, size=(6, 37, n), dtype=np.uint64)
         want = [polymul_ntt_array(x, y, tw) for x, y in zip(a, b)]
-        made = []
-        executor = concurrent.futures.ThreadPoolExecutor
-
-        def counted(*args, **kwargs):
-            time.sleep(0.01)  # widens the window between the check and the store
-            made.append(executor(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
-        monkeypatch.setattr(modarith, "_pool", None)
         monkeypatch.setattr(modarith, "_CPUS", 3)
-        got = [None] * len(a)
-        start = threading.Barrier(len(a))
+        if case == "returned":
+            assert polymul_ntt_array(a[0], b[0], tw).tobytes() == want[0].tobytes()
+        elif case == "worker_raised":
+            kernel = ntt.shoup_mul_into
 
-        def caller(i):
-            start.wait(60)
-            got[i] = polymul_ntt_array(a[i], b[i], tw)
+            def faulty(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    raise RuntimeError("injected kernel fault")
+                kernel(*args)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(a))]
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(60)
-            assert not any(thread.is_alive() for thread in callers)
-        finally:
-            sys.setswitchinterval(interval)
-            for pool in made:
-                pool.shutdown()
-        assert len(made) == 1
-        for x, y in zip(got, want):
-            assert x.tobytes() == y.tobytes()
+            with monkeypatch.context() as patch:
+                patch.setattr(ntt, "shoup_mul_into", faulty)
+                with pytest.raises(RuntimeError, match="injected kernel fault"):
+                    polymul_ntt_array(a[0], b[0], tw)
+        else:
+            got = [None] * len(a)
+            start = threading.Barrier(len(a))
+
+            def caller(i):
+                start.wait(60)
+                got[i] = polymul_ntt_array(a[i], b[i], tw)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(a))]
+                for thread in callers:
+                    thread.start()
+                for thread in callers:
+                    thread.join(60)
+                assert not any(thread.is_alive() for thread in callers)
+            finally:
+                sys.setswitchinterval(interval)
+            for x, y in zip(got, want):
+                assert x.tobytes() == y.tobytes()
+        assert [t for t in threading.enumerate() if t.name.startswith("nttsim-blocks")] == []
+
+    def test_imports_without_affinity_or_fork_hook(self):
+        """Where os has no sched_getaffinity or register_at_fork, the
+        package imports, counts CPUs with os.cpu_count() and gives
+        threaded batches the row-by-row result."""
+        code = """
+import os
+del os.sched_getaffinity, os.register_at_fork
+import numpy as np
+import nttsim
+from nttsim import modarith, ntt
+assert modarith._CPUS == (os.cpu_count() or 1)
+modarith._CPUS = 2
+n = 2048
+tw = ntt.cached_twiddles(modarith.ntt_modulus(32, n), n)
+gen = np.random.default_rng(17)
+a, b = (gen.integers(0, tw.mod.q, size=(70, n), dtype=np.uint64) for _ in range(2))
+for rows in (20, 70):  # one block and three, a block holding 32 rows
+    got = ntt.polymul_ntt_array(a[:rows], b[:rows], tw)
+    want = np.array([ntt.polymul_ntt_array(x, y, tw) for x, y in zip(a[:rows], b[:rows])])
+    assert got.tobytes() == want.tobytes(), rows
+print("ok")
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(ntt.__file__)), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
 
 
 class TestEntryChecks:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nttsim import modarith
 from nttsim.cli import main
 from nttsim.modarith import find_ntt_prime
 from nttsim.ntt import Polynomial, polymul_ntt
@@ -48,6 +49,15 @@ class TestBasis:
     def test_insufficient_primes(self):
         with pytest.raises(ValueError):
             gen_basis(9, 40, 16)
+
+    def test_chain_is_one_scan(self, monkeypatch):
+        # each prime of the chain is drawn once, not rescanned from 2^bits
+        want = [find_ntt_prime(60, 4096, i) for i in range(32)]
+        calls = []
+        is_prime = modarith.is_prime
+        monkeypatch.setattr(modarith, "is_prime", lambda x: calls.append(x) or is_prime(x))
+        assert [m.q for m in gen_basis(60, 32, 4096).moduli] == want
+        assert len(calls) < 1000
 
     def test_one_chain_everywhere(self, capsys):
         # the basis, the simulator config and the CLI pick the same primes

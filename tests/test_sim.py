@@ -691,8 +691,10 @@ class TestPolymul:
 class TestNoThreads:
     def test_single_block_work_starts_no_thread(self):
         """run() and batches of one cache block run inline: a fresh
-        interpreter ends them with its main thread alone."""
+        interpreter ends them with its main thread alone, and without
+        having imported concurrent.futures."""
         code = """
+import sys
 import threading
 import numpy as np
 from nttsim import modarith, ntt, sim
@@ -706,7 +708,7 @@ sim.run(cfg, Polynomial(a[0], mod), Polynomial(b[0], mod), op="polymul")
 tw = ntt.cached_twiddles(mod, 4096)
 ntt.polymul_ntt_array(a[0], b[0], tw)
 ntt.polymul_ntt_array(a, b, tw)
-print(threading.active_count())
+print(threading.active_count(), "concurrent.futures" in sys.modules)
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -715,7 +717,7 @@ print(threading.active_count())
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "1\n"
+        assert done.stdout == "1 False\n"
 
 
 class TestReport:
