@@ -4,21 +4,22 @@ Two Barrett multiplication variants are provided: a plain one that reduces
 the full double-width product in a single step, and a hardware-shaped one
 that right-shifts the product before multiplying by the precomputed
 reciprocal so that every multiply fits a split-operand step multiplier.
-Both return the exact residue; the hardware variant is the one the
-simulator's butterfly units execute. A third multiply, Shoup's, is for
-an operand fixed in advance, such as a twiddle factor: its quotient
-w' = floor(w * 2^s / q) is precomputed once, so each product costs about
-half the passes of the Barrett one. The reference transforms use it.
+Both return the exact residue. The hardware variant is the one the
+simulator's butterfly units execute, on scalars and on arrays; the plain
+variant, the baseline it is measured against, is a scalar model only. A
+third multiply, Shoup's, is for an operand fixed in advance, such as a
+twiddle factor: its quotient w' = floor(w * 2^s / q) is precomputed once,
+so each product costs about half the passes of the Barrett one. The
+reference transforms use it.
 
 Moduli are primes in [3, 2^62). Scalar functions operate on Python ints.
 The array kernels (``*_into``) compute the same formulas elementwise into
 caller-owned uint64 buffers, without operand checks: barrett_mul_hw_into,
-barrett_mul_soft_into, shoup_mul_into (its quotients from
-shoup_precompute), reduce_once_into and half_mod_into. Above 32 bits the
-hardware and Shoup multiplies take their double-word products from 32-bit
-partial products. The checked ``*_batch`` wrappers take uint64 operands,
-the plain one up to 32 bits; the exhaustive test sweeps use them. Array
-work runs in cache blocks of BLOCK_ELEMS values, and _run_blocks shares
+shoup_mul_into (its quotients from shoup_precompute), reduce_once_into
+and half_mod_into. Above 32 bits the hardware and Shoup multiplies take
+their double-word products from 32-bit partial products.
+barrett_mul_hw_batch checks its uint64 operands, then runs the hardware
+kernel in cache blocks of BLOCK_ELEMS values, and _run_blocks shares
 a range of two or more blocks out over the CPUs the process may use
 (os.sched_getaffinity, or os.cpu_count() where that is missing) on
 threads that end with the call.
@@ -291,7 +292,7 @@ def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
 
 # ---------------------------------------------------------------------------
 # array kernels: *_into cores take reduced operands unchecked and write
-# into caller-owned buffers; *_batch wrappers check, then call a core
+# into caller-owned buffers; barrett_mul_hw_batch checks, then calls one
 
 
 # Elements per cache block. A block of 2^16 words (512 KiB) plus two
@@ -391,52 +392,6 @@ def barrett_mul_hw_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) ->
     reduce_once_into(out, q, out, tmp)
 
 
-def barrett_mul_soft_into(a, b, mod: Modulus, out: np.ndarray, tmp: np.ndarray) -> None:
-    """out = barrett_mul_soft(a, b) elementwise, up to 32 bits; buffers
-    as in barrett_mul_hw_into.
-
-    t2 = (t1 * m) >> 2k is taken over limbs so no partial product leaves
-    64 bits; out serves as scratch and t1 is recomputed after. At 32 bits
-    one more buffer is allocated. t1 * m reaches 3k + 1 bits, and no
-    caller needs this reference variant wider.
-    """
-    q, k, m = mod.q, mod.k, mod.m
-    np.multiply(a, b, out=out)  # t1 < 2^2k
-    if k <= 15:
-        np.multiply(out, m, out=tmp)
-        np.right_shift(tmp, 2 * k, out=tmp)
-    elif k <= 31:
-        # 32-bit halves of t1: hi * m + ((lo * m) >> 32), then >> (2k - 32)
-        np.right_shift(out, 32, out=tmp)
-        np.multiply(tmp, m, out=tmp)
-        np.bitwise_and(out, _MASK32, out=out)
-        np.multiply(out, m, out=out)
-        np.right_shift(out, 32, out=out)
-        np.add(tmp, out, out=tmp)
-        np.right_shift(tmp, 2 * k - 32, out=tmp)
-        np.multiply(a, b, out=out)
-    else:
-        # 32-bit halves h, l of t1 times 16-bit limbs of m, carried upward
-        m_hi, m_lo = m >> 16, m & _MASK16
-        np.bitwise_and(out, _MASK32, out=tmp)  # l
-        np.right_shift(out, 32, out=out)  # h
-        c = np.multiply(tmp, m_lo)
-        np.right_shift(c, 16, out=c)
-        np.multiply(tmp, m_hi, out=tmp)
-        np.add(tmp, c, out=tmp)  # c1
-        np.right_shift(tmp, 16, out=tmp)
-        np.multiply(out, m_lo, out=c)
-        np.add(tmp, c, out=tmp)  # c2
-        np.right_shift(tmp, 16, out=tmp)
-        np.multiply(out, m_hi, out=c)
-        np.add(tmp, c, out=tmp)  # c3
-        np.right_shift(tmp, 16, out=tmp)
-        np.multiply(a, b, out=out)
-    np.multiply(tmp, q, out=tmp)
-    np.subtract(out, tmp, out=out)  # t4 < 2q
-    reduce_once_into(out, q, out, tmp)
-
-
 def shoup_precompute(w: np.ndarray, mod: Modulus) -> np.ndarray:
     """Shoup quotients w' = floor(w * 2^s / q) of reduced uint64 w, with
     s = 32 up to 32 bits and 64 above: shoup_mul_into's fixed operand.
@@ -446,7 +401,7 @@ def shoup_precompute(w: np.ndarray, mod: Modulus) -> np.ndarray:
     that never leaves a word.
     """
     s = 32 if mod.k <= 32 else 64
-    low = mul_blocks(barrett_mul_hw_into, w, np.uint64(pow(2, s, mod.q)), mod)
+    low = barrett_mul_hw_batch(w, pow(2, s, mod.q), mod)
     q_inv = np.uint64(pow(mod.q, -1, 1 << s))
     return (np.uint64(0) - low) * q_inv & np.uint64((1 << s) - 1)
 
@@ -479,13 +434,10 @@ def half_mod_into(x: np.ndarray, q: int, tmp: np.ndarray) -> None:
     np.add(x, tmp, out=x)
 
 
-def _as_residues(a, q: int) -> np.ndarray:
-    return check_reduced(np.asarray(a, dtype=np.uint64), q)
-
-
-def mul_blocks(core, a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
-    """core(a, b) elementwise over reduced uint64 arrays, one cache block
-    at a time, the blocks shared out by _run_blocks."""
+def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
+    """Elementwise barrett_mul_hw over uint64 arrays, once checked to be
+    reduced, one cache block at a time, the blocks shared out by _run_blocks."""
+    a, b = (check_reduced(np.asarray(x, dtype=np.uint64), mod.q) for x in (a, b))
     a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape, np.uint64)
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)
@@ -495,20 +447,7 @@ def mul_blocks(core, a: np.ndarray, b: np.ndarray, mod: Modulus) -> np.ndarray:
         for start in range(lo, hi, BLOCK_ELEMS):
             block = slice(start, start + BLOCK_ELEMS)
             x, y = flat_a[block], flat_b[block]
-            core(x, y, mod, flat_out[block], tmp[:len(x)])
+            barrett_mul_hw_into(x, y, mod, flat_out[block], tmp[:len(x)])
 
     _run_blocks(share, out.size, BLOCK_ELEMS)
     return out
-
-
-def barrett_mul_soft_batch(a, b, mod: Modulus) -> np.ndarray:
-    """Elementwise barrett_mul_soft over uint64 arrays, up to 32 bits."""
-    if mod.k > 32:
-        raise ValueError("barrett_mul_soft_batch supports moduli up to 32 bits")
-    return mul_blocks(barrett_mul_soft_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
-
-
-def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
-    """Elementwise barrett_mul_hw over uint64 arrays."""
-    return mul_blocks(barrett_mul_hw_into, _as_residues(a, mod.q), _as_residues(b, mod.q), mod)
-

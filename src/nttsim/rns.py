@@ -90,8 +90,15 @@ def decompose(coeffs: Sequence[int], basis: RnsBasis) -> RnsPolynomial:
     return RnsPolynomial(polys, basis)
 
 
+def _check_basis(rns_poly: RnsPolynomial, basis: RnsBasis) -> None:
+    if tuple(p.mod for p in rns_poly.residue_polys) != basis.moduli:
+        raise ValueError("operand bases do not match")
+
+
 def reconstruct(rns_poly: RnsPolynomial, basis: RnsBasis) -> List[int]:
-    """Gauss CRT: sum_i x_i * (Q/q_i) * inv_i mod Q, per coefficient."""
+    """Gauss CRT: sum_i x_i * (Q/q_i) * inv_i mod Q, per coefficient, once
+    the residue moduli are checked to be basis's, in order."""
+    _check_basis(rns_poly, basis)
     acc = 0
     for poly, (w, inv) in zip(rns_poly.residue_polys, basis.crt_weights):
         acc = acc + poly.coeffs.astype(object) * (w * inv)
@@ -102,8 +109,8 @@ def rns_polymul(
     a: RnsPolynomial, b: RnsPolynomial, basis: RnsBasis
 ) -> RnsPolynomial:
     """Component-wise negacyclic product across independent channels."""
-    if a.basis.big_q != basis.big_q or b.basis.big_q != basis.big_q:
-        raise ValueError("operand bases do not match")
+    _check_basis(a, basis)
+    _check_basis(b, basis)
     products = tuple(
         polymul_ntt(pa, pb, mod)
         for pa, pb, mod in zip(a.residue_polys, b.residue_polys, basis.moduli)

@@ -408,8 +408,9 @@ def make_sim_config(
     hazard_policy: str = "stall",
     layout_kind: str = "shifted",
 ) -> SimConfig:
-    """Check every input, then build the config. The moduli default to gen_basis;
-    building run()'s twiddle tables refuses a q that is not 1 mod 2N."""
+    """Check every input, then build the config. The moduli are either given or
+    drawn by gen_basis(q_bits, n_q), not both; building run()'s twiddle
+    tables refuses a q that is not 1 mod 2N."""
     validate_geometry(n_total, npe)
     check_kind(layout_kind)
     _check_policy(hazard_policy)
@@ -424,6 +425,8 @@ def make_sim_config(
         if q_bits is None:
             raise ValueError("either q_bits or explicit moduli are required")
         moduli = gen_basis(q_bits, n_q, n_total).moduli
+    elif q_bits is not None or n_q != 1:
+        raise ValueError("explicit moduli take no q_bits or n_q")
     if not moduli:
         raise ValueError("at least one modulus is required")
     for mod in moduli:

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: sieves, double loops, dense matrices
 and Python big integers. These oracles never call into the fast paths they
-are used to check.
+are used to check. plain_barrett is the one word-level helper: the plain
+Barrett variant on uint64 arrays, which only the tests evaluate on arrays.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 
@@ -37,6 +39,42 @@ def naive_is_prime(x):
 def mulmod_oracle(a, b, q):
     """Wide-integer multiply-then-remainder; Python ints never overflow."""
     return (a * b) % q
+
+
+def plain_barrett(a, b, mod):
+    """The plain Barrett variant elementwise on uint64, as the scalar
+    barrett_mul_soft computes it: t2 = (t1 * m) >> 2k, one subtraction.
+
+    Only the widths the tests draw. Up to 21 bits t1 * m < 2^(3k+1) fits
+    a word. At 32 bits m = 2^32 + c with c < 2^32, and over the 32-bit
+    halves h, l of t1, t2 = h + ((l + h*c + ((l*c) >> 32)) >> 32), whose
+    inner sum stays below 2^64. The passes run in place over three arrays:
+    a fresh temporary per pass made the exhaustive sweep twice as slow.
+    """
+    q, k, m = mod.q, mod.k, mod.m
+    t1 = np.multiply(a, b, dtype=np.uint64)
+    t2 = np.empty_like(t1)
+    if k <= 21:
+        np.multiply(t1, m, out=t2)
+        np.right_shift(t2, 2 * k, out=t2)
+    elif k == 32:
+        c, half = m - (1 << 32), np.empty_like(t1)
+        np.bitwise_and(t1, 0xFFFF_FFFF, out=half)  # l
+        np.multiply(half, c, out=t2)
+        np.right_shift(t2, 32, out=t2)
+        np.add(t2, half, out=t2)
+        np.right_shift(t1, 32, out=half)  # h
+        np.multiply(half, c, out=t1)
+        np.add(t2, t1, out=t2)
+        np.right_shift(t2, 32, out=t2)
+        np.add(t2, half, out=t2)
+        np.multiply(a, b, out=t1)  # t1 again
+    else:
+        raise ValueError(f"plain_barrett has no {k}-bit path")
+    np.multiply(t2, q, out=t2)
+    np.subtract(t1, t2, out=t1)  # t4 < 2q
+    np.subtract(t1, q, out=t2)  # below q, t4 - q wraps above t4
+    return np.minimum(t1, t2, out=t1)
 
 
 def negacyclic_schoolbook_oracle(a, b, q):

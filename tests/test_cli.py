@@ -538,6 +538,33 @@ class TestSim:
         assert code == 0
         assert "total cycles" in out.lower()
 
+    # sha256 of stdout, exit code and stderr of each command line, recorded
+    # before the plain Barrett array kernel left the library
+    PINS = {
+        "sim --n 64 --npe 4 --q-bits 14 --op polymul --seed 3": ("d9e6770b30ce22c4b10cb28fd39f5401f033478ebafa4905b5400982a31dc4fe", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 32 --op polymul --seed 3": ("1a8fc44d6b4ad862aa78659e3e5d4497d16df49d06a0a6fa82a12ba5911a09ef", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 40 --op polymul --seed 3": ("747ebaf8efb750a3fd57320be7e2f631fbcc4ba5a57e2e51fc4ce95a8f75e78a", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 62 --op polymul --seed 3": ("5160e521a41d252d1b476ba5d333b2d2a7c17e5de7cd70a880db6733489a4482", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 14 --op polymul --seed 3 --format text": ("8b64f703f8ef68035460037400e7329a8f7064ce90036055eea13fbe2dd85668", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 32 --op polymul --seed 3 --format text": ("8b64f703f8ef68035460037400e7329a8f7064ce90036055eea13fbe2dd85668", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 40 --op polymul --seed 3 --format text": ("8b64f703f8ef68035460037400e7329a8f7064ce90036055eea13fbe2dd85668", 0, ""),
+        "sim --n 64 --npe 4 --q-bits 62 --op polymul --seed 3 --format text": ("8b64f703f8ef68035460037400e7329a8f7064ce90036055eea13fbe2dd85668", 0, ""),
+        "sim --n 256 --npe 8 --q-bits 62 --nq 4 --op polymul --seed 4": ("1b5f2cba1c7ecfc8c134422d8ba88e48863496f1e84176ac78c0d090b35d41a4", 0, ""),
+        # stalled: 1113 cycles, 13 stalls
+        "sim --n 1024 --npe 16 --q-bits 32 --op polymul": ("17f8e72826401ab9c5fb0b4ff70cfaadbd18bbc733ecfd9a53fafb0ab977646e", 0, ""),
+        "sim --n 1024 --npe 16 --q-bits 32 --op polymul --format text": ("b8a778b256c88e9034feb04d8a60af6dc645a1a093304d07473194ed6a70ecae", 0, ""),
+        "sim --n 16 --npe 2 --q-bits 14 --policy fail-fast": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2, "hazard: raw hazard at cycle 4 (bank 0, addr 0)\n"),
+        "sim --n 256 --npe 8 --q-bits 32 --op polymul --layout sequential --seed 5": ("b7ab19570bb578d7b9266845145d7aa09c4d83ab64656219e37fde8b54bcdf37", 0, ""),
+        "ntt --n 64 --q-bits 32 --seed 6": ("377c2c377168a65304f484a61641d24bfd28b2f6f42dc198712591d77e1acf31", 0, ""),
+        "intt --n 64 --q-bits 40 --seed 7": ("9ef62d844702142a6b7141aabf4c7767e855a18510c2008ef4532673fda6b5a4", 0, ""),
+        "polymul --n 64 --q-bits 62 --seed 8": ("bc8e168275ed50b3aa60b1d3cbc05149309b71d56bf3719e0da8fe1446c2a37a", 0, ""),
+    }
+
+    @pytest.mark.parametrize("args", list(PINS))
+    def test_pinned_output(self, args, capsys):
+        code, out, err = run_cli(args.split(), capsys)
+        assert (hashlib.sha256(out.encode()).hexdigest(), code, err) == self.PINS[args]
+
 
 class TestConfigFile:
     def test_config_supplies_values(self, tmp_path, capsys):

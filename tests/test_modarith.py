@@ -20,7 +20,6 @@ from nttsim.modarith import (
     barrett_mul_hw_batch,
     barrett_mul_hw_trace,
     barrett_mul_soft,
-    barrett_mul_soft_batch,
     barrett_mul_soft_trace,
     barrett_precompute,
     find_ntt_prime,
@@ -34,7 +33,7 @@ from nttsim.modarith import (
 )
 from nttsim.ntt import gen_twiddles
 
-from conftest import multiplicative_order, mulmod_oracle, sieve_primes
+from conftest import multiplicative_order, mulmod_oracle, plain_barrett, sieve_primes
 
 PRIMES_1K = sieve_primes(1000)
 
@@ -137,7 +136,7 @@ class TestBarrettHw:
 
     def test_exhaustive_ntt_friendly_primes(self):
         # Smallest 50 primes congruent to 1 mod 8, every (a, b) pair,
-        # through the batch kernels, against both the soft variant and
+        # through the batch kernel, against both the plain variant and
         # the wide-integer oracle.
         primes = [q for q in sieve_primes(2000) if q % 8 == 1][:50]
         assert len(primes) == 50
@@ -146,7 +145,7 @@ class TestBarrettHw:
             a = np.repeat(np.arange(q, dtype=np.uint64), q)
             b = np.tile(np.arange(q, dtype=np.uint64), q)
             hw = barrett_mul_hw_batch(a, b, mod)
-            soft = barrett_mul_soft_batch(a, b, mod)
+            soft = plain_barrett(a, b, mod)
             expect = (a * b) % np.uint64(q)
             np.testing.assert_array_equal(hw, soft)
             np.testing.assert_array_equal(hw, expect)
@@ -156,11 +155,13 @@ class TestBarrettHw:
         mod = barrett_precompute(q)
         n = 10**6
         gen = np.random.default_rng(1)
-        a = gen.integers(0, q, size=n, dtype=np.uint64)
-        b = gen.integers(0, q, size=n, dtype=np.uint64)
+        # random pairs, then every pair of edge values
+        edges = np.array([0, 1, 2, q - 1, q - 2, 2**31, q // 2, (q + 1) // 2], dtype=np.uint64)
+        a = np.concatenate([gen.integers(0, q, size=n, dtype=np.uint64), np.repeat(edges, len(edges))])
+        b = np.concatenate([gen.integers(0, q, size=n, dtype=np.uint64), np.tile(edges, len(edges))])
         hw = barrett_mul_hw_batch(a, b, mod)
         np.testing.assert_array_equal(hw, (a * b) % np.uint64(q))
-        np.testing.assert_array_equal(hw, barrett_mul_soft_batch(a, b, mod))
+        np.testing.assert_array_equal(hw, plain_barrett(a, b, mod))
         # spot-check the scalar path against the batch path
         for _ in range(200):
             x, y = rng.randrange(q), rng.randrange(q)
@@ -388,9 +389,10 @@ class TestProperties:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_batch_matches_scalar(self, data):
-        # the soft kernel stops at 32 bits; 33-62-bit moduli check hw only
+        # the plain variant has no array kernel: the tests' helper covers
+        # the widths they draw, and 33-62-bit moduli check hw only
         mod = data.draw(st.one_of(
-            st.sampled_from([17, 97, 7681, 12289, 65537]).map(barrett_precompute),
+            st.sampled_from([17, 97, 7681, 12289, 65537, find_ntt_prime(32, 64)]).map(barrett_precompute),
             st.integers(33, 62).map(lambda bits: ntt_modulus(bits, 64)),
         ))
         q = mod.q
@@ -399,7 +401,7 @@ class TestProperties:
         a = gen.integers(0, q, size=n, dtype=np.uint64)
         b = gen.integers(0, q, size=n, dtype=np.uint64)
         hw = barrett_mul_hw_batch(a, b, mod)
-        soft = barrett_mul_soft_batch(a, b, mod) if mod.k <= 32 else None
+        soft = plain_barrett(a, b, mod) if mod.k <= 32 else None
         for i in range(n):
             if soft is not None:
                 assert soft[i] == barrett_mul_soft(int(a[i]), int(b[i]), mod)
@@ -418,10 +420,6 @@ class TestProperties:
         hw = barrett_mul_hw_batch(a, b, mod).tolist()
         for x, y, got in zip(a.tolist(), b.tolist(), hw):
             assert got == mulmod_oracle(x, y, q) == barrett_mul_hw(x, y, mod)
-
-    def test_soft_batch_stops_at_32_bits(self):
-        with pytest.raises(ValueError, match="up to 32 bits"):
-            barrett_mul_soft_batch([1], [2], ntt_modulus(33, 64))
 
 
 class TestModulusInvariants:

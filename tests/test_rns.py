@@ -90,6 +90,17 @@ class TestDecomposeReconstruct:
         with pytest.raises(ValueError):
             decompose([-1, 0, 0, 0], basis)
 
+    def test_foreign_basis_rejected(self):
+        # CRT weights of another basis would give wrong coefficients
+        basis = gen_basis(30, 2, 16)
+        reverse = RnsBasis.from_moduli(basis.moduli[::-1])
+        for residues, other in (
+            (decompose([basis.big_q - 7] * 16, basis), gen_basis(20, 2, 16)),
+            (decompose([basis.big_q - 5] * 16, basis), reverse),
+        ):
+            with pytest.raises(ValueError, match="operand bases do not match"):
+                reconstruct(residues, other)
+
     def test_roundtrip_random(self, rng):
         basis = gen_basis(30, 3, 16)
         big_q = basis.big_q
@@ -161,6 +172,10 @@ class TestRnsPolymul:
             rns_polymul(pa, pb, b1)
         with pytest.raises(ValueError, match="operand bases do not match"):
             rns_polymul(pb, pa, b1)
+        # the same primes in another order have the same Q
+        reverse = RnsBasis.from_moduli(b1.moduli[::-1])
+        with pytest.raises(ValueError, match="operand bases do not match"):
+            rns_polymul(pa, pa, reverse)
 
     def test_length_mismatch_rejected_before_any_product(self):
         basis = gen_basis(14, 2, 16)

@@ -804,6 +804,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="either q_bits or explicit moduli are required"):
             make_sim_config(16, 2)
 
+    @pytest.mark.parametrize("kwargs", [{"q_bits": 30, "n_q": 3}, {"q_bits": 30}, {"n_q": 3}])
+    def test_moduli_take_no_q_bits_or_n_q(self, kwargs):
+        # the moduli are given or drawn, as the CLI's --q refuses --q-bits and --nq
+        with pytest.raises(ValueError, match="^explicit moduli take no q_bits or n_q$"):
+            make_sim_config(16, 2, moduli=[ntt_modulus(14, 16)], **kwargs)
+
     def test_rejects_unknown_layout_kind_when_built(self):
         with pytest.raises(ValueError, match="unknown layout kind 'bogus'"):
             make_sim_config(16, 2, q_bits=14, layout_kind="bogus")
