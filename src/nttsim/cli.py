@@ -157,7 +157,7 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
     operands = []
     for name in ("input", "input_b"):
         if name in files:
-            operands.append(RnsPolynomial((files[name],), basis))
+            operands.append(RnsPolynomial((files[name],)))
         elif name in names:
             operands.append(decompose([next(stream) % basis.big_q for _ in range(n)], basis))
         else:
@@ -166,12 +166,12 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
 
 
 def _cmd_reference(opts: Options) -> int:
-    tw, (a, b) = _operands(opts, lambda n, moduli: cached_twiddles(moduli[0], n))
+    _, (a, b) = _operands(opts, lambda n, moduli: cached_twiddles(moduli[0], n))
     (a,) = a.residue_polys
     if opts.command == "polymul":
-        result = polymul_ntt(a, b.residue_polys[0], tw.mod)
+        result = polymul_ntt(a, b.residue_polys[0])
     else:
-        result = ntt_ct(a, tw) if opts.command == "ntt" else intt_gs(a, tw)
+        result = ntt_ct(a) if opts.command == "ntt" else intt_gs(a)
     buf = io.StringIO()
     write_polynomial(result, buf)
     _write_output(buf.getvalue(), opts.output)

@@ -247,10 +247,10 @@ def find_primitive_root(q: int) -> int:
     raise ValueError(f"no primitive root found for {q}")
 
 
-def _ntt_primes(bits: int, n: int, index: int = 0):
-    """The primes below 2^bits congruent to 1 mod 2N, largest first from
-    the index-th on, by one downward scan in steps of 2N. The arguments
-    are checked at the first draw, and a draw past the last prime raises."""
+def _ntt_primes(bits: int, n: int):
+    """The primes below 2^bits congruent to 1 mod 2N, largest first, by one
+    downward scan in steps of 2N. The arguments are checked at the first
+    draw, and a draw past the last prime raises."""
     if bits > 62:
         raise ValueError("bits must be <= 62")
     if bits < 0:
@@ -260,34 +260,26 @@ def _ntt_primes(bits: int, n: int, index: int = 0):
     two_n = 2 * n
     if two_n >= 1 << bits:
         raise ValueError(f"2N={two_n} does not fit below 2^{bits}")
-    if index < 0:
-        raise ValueError(f"prime index {index} is negative")
     candidate = ((1 << bits) - 2) // two_n * two_n + 1
     seen = 0
     while candidate > two_n:
         if is_prime(candidate):
-            if seen >= index:
-                yield candidate
+            yield candidate
             seen += 1
         candidate -= two_n
-    raise ValueError(
-        f"no prime #{max(seen, index)} below 2^{bits} congruent to 1 mod {two_n}"
-    )
+    raise ValueError(f"no prime #{seen} below 2^{bits} congruent to 1 mod {two_n}")
 
 
-def find_ntt_prime(bits: int, n: int, index: int = 0) -> int:
-    """index-th largest prime below 2^bits congruent to 1 mod 2N.
-
-    Searches downward from 2^bits - 1 in steps of 2N, so the same
-    (bits, N, index) always yields the same prime.
-    """
-    return next(_ntt_primes(bits, n, index))
+def find_ntt_prime(bits: int, n: int) -> int:
+    """The largest prime below 2^bits congruent to 1 mod 2N: the first of
+    the one prime chain that gen_basis walks."""
+    return next(_ntt_primes(bits, n))
 
 
-def ntt_modulus(bits: int, n: int, index: int = 0) -> Modulus:
+def ntt_modulus(bits: int, n: int) -> Modulus:
     """A transform-ready modulus: a prime q = 1 mod 2N and its Barrett
     constants, from which gen_twiddles derives the N-point tables."""
-    return barrett_precompute(find_ntt_prime(bits, n, index))
+    return barrett_precompute(find_ntt_prime(bits, n))
 
 
 # ---------------------------------------------------------------------------

@@ -303,38 +303,38 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial-level wrappers
+# Polynomial-level wrappers: the operands' modulus and length fix the table
 
 
-def _matched(a: Polynomial, b: Polynomial, mod: Modulus) -> None:
+def _matched(a: Polynomial, b: Polynomial) -> None:
     if a.n != b.n:
         raise ValueError("polynomial lengths differ")
-    if a.mod.q != mod.q or b.mod.q != mod.q:
+    if a.mod.q != b.mod.q:
         raise ValueError("polynomial moduli differ")
 
 
-def ntt_ct(poly: Polynomial, tw: TwiddleTable) -> Polynomial:
-    return Polynomial(ntt_ct_array(poly.coeffs, tw), poly.mod)
+def ntt_ct(poly: Polynomial) -> Polynomial:
+    return Polynomial(ntt_ct_array(poly.coeffs, cached_twiddles(poly.mod, poly.n)), poly.mod)
 
 
-def intt_gs(evals: Polynomial, tw: TwiddleTable) -> Polynomial:
-    return Polynomial(intt_gs_array(evals.coeffs, tw), evals.mod)
+def intt_gs(evals: Polynomial) -> Polynomial:
+    return Polynomial(intt_gs_array(evals.coeffs, cached_twiddles(evals.mod, evals.n)), evals.mod)
 
 
-def pointwise_mul(a: Polynomial, b: Polynomial, mod: Modulus) -> Polynomial:
-    _matched(a, b, mod)
-    return Polynomial(pointwise_mul_array(a.coeffs, b.coeffs, mod), a.mod)
+def pointwise_mul(a: Polynomial, b: Polynomial) -> Polynomial:
+    _matched(a, b)
+    return Polynomial(pointwise_mul_array(a.coeffs, b.coeffs, a.mod), a.mod)
 
 
-def polymul_ntt(a: Polynomial, b: Polynomial, mod: Modulus) -> Polynomial:
-    _matched(a, b, mod)
-    tw = cached_twiddles(mod, a.n)
+def polymul_ntt(a: Polynomial, b: Polynomial) -> Polynomial:
+    _matched(a, b)
+    tw = cached_twiddles(a.mod, a.n)
     return Polynomial(polymul_ntt_array(a.coeffs, b.coeffs, tw), a.mod)
 
 
-def schoolbook_negacyclic(a: Polynomial, b: Polynomial, mod: Modulus) -> Polynomial:
-    _matched(a, b, mod)
-    return Polynomial(schoolbook_negacyclic_array(a.coeffs, b.coeffs, mod), a.mod)
+def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
+    _matched(a, b)
+    return Polynomial(schoolbook_negacyclic_array(a.coeffs, b.coeffs, a.mod), a.mod)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ class RnsBasis:
     @classmethod
     def from_moduli(cls, moduli: Sequence[Modulus]) -> "RnsBasis":
         qs = [m.q for m in moduli]
+        if not qs:
+            raise ValueError("at least one modulus is required")
         if len(set(qs)) != len(qs):
             raise ValueError("basis primes must be distinct")
         big_q = 1
@@ -56,10 +58,10 @@ class RnsBasis:
 
 @dataclass(frozen=True)
 class RnsPolynomial:
-    """One residue polynomial per basis modulus, all of equal length."""
+    """One residue polynomial per basis modulus, all of equal length; the
+    moduli are the residue polynomials' own."""
 
     residue_polys: Tuple[Polynomial, ...]
-    basis: RnsBasis
 
     @property
     def n(self) -> int:
@@ -87,7 +89,7 @@ def decompose(coeffs: Sequence[int], basis: RnsBasis) -> RnsPolynomial:
     polys = tuple(
         Polynomial((values % mod.q).astype(np.uint64), mod) for mod in basis.moduli
     )
-    return RnsPolynomial(polys, basis)
+    return RnsPolynomial(polys)
 
 
 def _check_basis(rns_poly: RnsPolynomial, basis: RnsBasis) -> None:
@@ -111,8 +113,5 @@ def rns_polymul(
     """Component-wise negacyclic product across independent channels."""
     _check_basis(a, basis)
     _check_basis(b, basis)
-    products = tuple(
-        polymul_ntt(pa, pb, mod)
-        for pa, pb, mod in zip(a.residue_polys, b.residue_polys, basis.moduli)
-    )
-    return RnsPolynomial(products, basis)
+    products = tuple(polymul_ntt(pa, pb) for pa, pb in zip(a.residue_polys, b.residue_polys))
+    return RnsPolynomial(products)

@@ -71,7 +71,7 @@ from nttsim.ntt import (
     ntt_ct_array,
     pointwise_mul_array,
 )
-from nttsim.rns import RnsPolynomial, gen_basis
+from nttsim.rns import RnsBasis, RnsPolynomial, gen_basis
 from nttsim.schedule import (
     MAX_CYCLES,
     PROFILES,
@@ -119,10 +119,6 @@ class SimHazardError(Exception):
             f"(bank {event.bank}, addr {event.addr})"
         )
         self.event = event
-        self.kind = event.kind
-        self.cycle = event.cycle
-        self.bank = event.bank
-        self.addr = event.addr
 
 
 class SimMismatchError(Exception):
@@ -408,9 +404,9 @@ def make_sim_config(
     hazard_policy: str = "stall",
     layout_kind: str = "shifted",
 ) -> SimConfig:
-    """Check every input, then build the config. The moduli are either given or
-    drawn by gen_basis(q_bits, n_q), not both; building run()'s twiddle
-    tables refuses a q that is not 1 mod 2N."""
+    """Check every input, then build the config. The moduli are either given,
+    and checked by RnsBasis.from_moduli, or drawn by gen_basis(q_bits, n_q),
+    not both; building run()'s twiddle tables refuses a q that is not 1 mod 2N."""
     validate_geometry(n_total, npe)
     check_kind(layout_kind)
     _check_policy(hazard_policy)
@@ -427,14 +423,14 @@ def make_sim_config(
         moduli = gen_basis(q_bits, n_q, n_total).moduli
     elif q_bits is not None or n_q != 1:
         raise ValueError("explicit moduli take no q_bits or n_q")
-    if not moduli:
-        raise ValueError("at least one modulus is required")
+    else:
+        moduli = RnsBasis.from_moduli(moduli).moduli
     for mod in moduli:
         cached_twiddles(mod, n_total)
     return SimConfig(
         N=n_total,
         npe=npe,
-        moduli=tuple(moduli),
+        moduli=moduli,
         pipeline=pipeline,
         setup_cycles=setup_cycles,
         hazard_policy=hazard_policy,

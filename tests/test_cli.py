@@ -179,6 +179,8 @@ class TestRejectedInput:
          "q99.cfg:4: profile: invalid choice 'q99' (choose from q32, q14, ideal)"),
         # a negative bit width is refused by name, not as a negative shift
         (["sim", "--n", "16", "--npe", "2", "--q-bits", "-1"], "bit width -1 is negative"),
+        # repeated moduli are refused as an RNS basis
+        (["sim", "--n", "16", "--npe", "2", "--q", "97,97"], "basis primes must be distinct"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
@@ -662,7 +664,7 @@ class TestSeededGenerator:
         second.write_text(f"{n} {q}\n" + "".join(f"{v}\n" for v in values[n:]))
         mod = barrett_precompute(q)
         product = schoolbook_negacyclic(
-            Polynomial.from_ints(values[:n], mod), Polynomial.from_ints(values[n:], mod), mod
+            Polynomial.from_ints(values[:n], mod), Polynomial.from_ints(values[n:], mod)
         )
         expected = f"{n} {q}\n" + "".join(f"{c}\n" for c in product.to_ints())
         seeded = ["polymul", "--n", str(n), "--q", str(q), "--seed", "5"]

@@ -1,6 +1,8 @@
-"""Every script in demos/ runs to completion in a fresh interpreter."""
+"""Every script in demos/ runs to completion in a fresh interpreter, and
+every python example in README.md in a fresh namespace."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +30,11 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_readme_examples():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

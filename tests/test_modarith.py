@@ -32,6 +32,7 @@ from nttsim.modarith import (
     step_multiply,
 )
 from nttsim.ntt import gen_twiddles
+from nttsim.rns import gen_basis
 
 from conftest import multiplicative_order, mulmod_oracle, plain_barrett, sieve_primes
 
@@ -151,7 +152,7 @@ class TestBarrettHw:
             np.testing.assert_array_equal(hw, expect)
 
     def test_random_32bit_prime_oracle(self, rng):
-        q = find_ntt_prime(32, 4096, 0)
+        q = find_ntt_prime(32, 4096)
         mod = barrett_precompute(q)
         n = 10**6
         gen = np.random.default_rng(1)
@@ -181,7 +182,7 @@ class TestBarrettHw:
                 assert h.t4 < 3 * 97
                 assert h.t2 in (s.t2, s.t2 - 1)
                 assert h.z == s.z
-        big = barrett_precompute(find_ntt_prime(32, 4096, 1))
+        big = gen_basis(32, 2, 4096).moduli[1]
         for _ in range(2000):
             a, b = rng.randrange(big.q), rng.randrange(big.q)
             s = barrett_mul_soft_trace(a, b, big)
@@ -318,28 +319,27 @@ class TestFindNttPrime:
         # sieve oracle: the largest 14-bit prime congruent to 1 mod 2048
         candidates = [q for q in sieve_primes(1 << 14) if q % 2048 == 1]
         assert candidates[-1] == 12289  # frozen golden constant
-        assert find_ntt_prime(14, 1024, 0) == 12289
+        assert find_ntt_prime(14, 1024) == 12289
 
     def test_postcondition_congruence(self):
         for idx in range(4):
-            q = find_ntt_prime(20, 256, idx)
+            q = gen_basis(20, idx + 1, 256).moduli[idx].q
             assert q % 512 == 1
             assert is_prime(q)
 
     def test_distinct_indices_coprime(self):
-        q0 = find_ntt_prime(30, 1024, 0)
-        q1 = find_ntt_prime(30, 1024, 1)
+        q0, q1 = (gen_basis(30, i + 1, 1024).moduli[i].q for i in range(2))
         assert q0 != q1
         assert math.gcd(q0, q1) == 1
 
     def test_descending_order(self):
-        qs = [find_ntt_prime(24, 512, i) for i in range(5)]
+        qs = [gen_basis(24, i + 1, 512).moduli[i].q for i in range(5)]
         assert qs == sorted(qs, reverse=True)
         assert all(q < 2**24 for q in qs)
 
     def test_exhausted_range(self):
         with pytest.raises(ValueError):
-            find_ntt_prime(8, 64, 50)
+            gen_basis(8, 51, 64)
 
     @pytest.mark.parametrize("bits,n,message", [
         (63, 16, "bits must be <= 62"),
@@ -351,10 +351,6 @@ class TestFindNttPrime:
     def test_rejects_unsupported_request(self, bits, n, message):
         with pytest.raises(ValueError, match=message):
             find_ntt_prime(bits, n)
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError, match="^prime index -1 is negative$"):
-            find_ntt_prime(20, 16, -1)
 
 
 @st.composite

@@ -111,16 +111,15 @@ class TestTwiddles:
         for mod in basis.moduli:
             a = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)
             b = Polynomial.from_ints([rng.randrange(mod.q) for _ in range(256)], mod)
-            want = schoolbook_negacyclic(a, b, mod).to_ints()
-            assert polymul_ntt(a, b, mod).to_ints() == want
+            want = schoolbook_negacyclic(a, b).to_ints()
+            assert polymul_ntt(a, b).to_ints() == want
 
     def test_roundtrip_identity(self, rng):
         for n in (4, 16, 64):
             mod = ntt_modulus(14, n)
-            tw = gen_twiddles(mod, n)
             coeffs = [rng.randrange(mod.q) for _ in range(n)]
             p = Polynomial.from_ints(coeffs, mod)
-            assert intt_gs(ntt_ct(p, tw), tw).to_ints() == coeffs
+            assert intt_gs(ntt_ct(p)).to_ints() == coeffs
 
 
 def dense_batch(bits):
@@ -138,21 +137,19 @@ def dense_batch(bits):
 
 class TestForwardTransform:
     def test_delta_becomes_constant(self):
-        tw = gen_twiddles(Q17, 4)
-        assert ntt_ct(poly17([1, 0, 0, 0]), tw).to_ints() == [1, 1, 1, 1]
+        assert ntt_ct(poly17([1, 0, 0, 0])).to_ints() == [1, 1, 1, 1]
 
     def test_x_frozen(self):
         # hand-computed: evals of x at psi^(2j+1) are [9, 15, 8, 2] in
         # natural order; output is that list in bit-reversed positions
-        tw = gen_twiddles(Q17, 4)
-        assert ntt_ct(poly17([0, 1, 0, 0]), tw).to_ints() == [9, 8, 15, 2]
+        assert ntt_ct(poly17([0, 1, 0, 0])).to_ints() == [9, 8, 15, 2]
 
     def test_matches_dense_evaluation(self, rng):
         for n in (4, 8, 16, 64):
             mod = ntt_modulus(14, n)
             tw = gen_twiddles(mod, n)
             coeffs = [rng.randrange(mod.q) for _ in range(n)]
-            got = ntt_ct(Polynomial.from_ints(coeffs, mod), tw).to_ints()
+            got = ntt_ct(Polynomial.from_ints(coeffs, mod)).to_ints()
             natural = naive_negacyclic_ntt(coeffs, tw.psi, mod.q)
             bits = n.bit_length() - 1
             assert got == [natural[bit_reverse(r, bits)] for r in range(n)]
@@ -168,34 +165,31 @@ class TestForwardTransform:
         mod8 = ntt_modulus(14, 8)
         p = Polynomial.from_ints([0] * 8, mod8)
         with pytest.raises(ValueError):
-            ntt_ct(p, tw)
+            ntt_ct_array(p.coeffs, tw)
 
     def test_linearity(self, rng):
         n = 16
         mod = ntt_modulus(14, n)
-        tw = gen_twiddles(mod, n)
         q = mod.q
         p = [rng.randrange(q) for _ in range(n)]
         r = [rng.randrange(q) for _ in range(n)]
         alpha, beta = rng.randrange(q), rng.randrange(q)
         combo = [(alpha * x + beta * y) % q for x, y in zip(p, r)]
-        lhs = ntt_ct(Polynomial.from_ints(combo, mod), tw).to_ints()
-        fp = ntt_ct(Polynomial.from_ints(p, mod), tw).to_ints()
-        fr = ntt_ct(Polynomial.from_ints(r, mod), tw).to_ints()
+        lhs = ntt_ct(Polynomial.from_ints(combo, mod)).to_ints()
+        fp = ntt_ct(Polynomial.from_ints(p, mod)).to_ints()
+        fr = ntt_ct(Polynomial.from_ints(r, mod)).to_ints()
         rhs = [(alpha * x + beta * y) % q for x, y in zip(fp, fr)]
         assert lhs == rhs
 
 
 class TestInverseTransform:
     def test_roundtrip_small(self):
-        tw = gen_twiddles(Q17, 4)
         p = poly17([3, 1, 4, 1])
-        assert intt_gs(ntt_ct(p, tw), tw).to_ints() == [3, 1, 4, 1]
+        assert intt_gs(ntt_ct(p)).to_ints() == [3, 1, 4, 1]
 
     def test_constant_becomes_delta(self):
-        tw = gen_twiddles(Q17, 4)
         for c in (1, 5, 16):
-            assert intt_gs(poly17([c] * 4), tw).to_ints() == [c, 0, 0, 0]
+            assert intt_gs(poly17([c] * 4)).to_ints() == [c, 0, 0, 0]
 
     def test_matches_dense_inverse(self, rng):
         for n in (4, 8, 32, 64):
@@ -203,7 +197,7 @@ class TestInverseTransform:
             tw = gen_twiddles(mod, n)
             bits = n.bit_length() - 1
             evals_br = [rng.randrange(mod.q) for _ in range(n)]
-            got = intt_gs(Polynomial.from_ints(evals_br, mod), tw).to_ints()
+            got = intt_gs(Polynomial.from_ints(evals_br, mod)).to_ints()
             natural = [evals_br[bit_reverse(j, bits)] for j in range(n)]
             assert got == naive_negacyclic_intt(natural, tw.psi, mod.q)
 
@@ -496,31 +490,31 @@ class TestPointwise:
     def test_identity_vector(self):
         ones = poly17([1, 1, 1, 1])
         x = poly17([3, 7, 0, 12])
-        assert pointwise_mul(ones, x, Q17).to_ints() == [3, 7, 0, 12]
+        assert pointwise_mul(ones, x).to_ints() == [3, 7, 0, 12]
 
     def test_zero_annihilates(self):
         z = poly17([0, 0, 0, 0])
         x = poly17([3, 7, 1, 12])
-        assert pointwise_mul(z, x, Q17).to_ints() == [0] * 4
+        assert pointwise_mul(z, x).to_ints() == [0] * 4
 
     def test_against_scalar_oracle(self, rng):
         n, mod = 16, ntt_modulus(14, 16)
         a = [rng.randrange(mod.q) for _ in range(n)]
         b = [rng.randrange(mod.q) for _ in range(n)]
         got = pointwise_mul(
-            Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod), mod
+            Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod)
         ).to_ints()
         assert got == [(x * y) % mod.q for x, y in zip(a, b)]
 
     def test_length_mismatch(self):
         mod8 = ntt_modulus(14, 8)
         with pytest.raises(ValueError):
-            pointwise_mul(poly17([1] * 4), Polynomial.from_ints([0] * 8, mod8), Q17)
+            pointwise_mul(poly17([1] * 4), Polynomial.from_ints([0] * 8, mod8))
 
     def test_modulus_mismatch(self):
         other = Polynomial.from_ints([1] * 4, barrett_precompute(97))
         with pytest.raises(ValueError, match="polynomial moduli differ"):
-            pointwise_mul(poly17([1] * 4), other, Q17)
+            pointwise_mul(poly17([1] * 4), other)
 
     def test_unequal_shapes_are_not_broadcast(self):
         mod = ntt_modulus(14, 8)
@@ -551,13 +545,13 @@ class TestPolymul:
         # (1 + x) * (x - 1) = x^2 - 1 over q = 17
         a = poly17([1, 1, 0, 0])
         b = poly17([16, 1, 0, 0])
-        assert polymul_ntt(a, b, Q17).to_ints() == [16, 0, 1, 0]
+        assert polymul_ntt(a, b).to_ints() == [16, 0, 1, 0]
 
     def test_negacyclic_wrap(self):
         # x^3 * x = x^4 = -1
         a = poly17([0, 0, 0, 1])
         b = poly17([0, 1, 0, 0])
-        assert polymul_ntt(a, b, Q17).to_ints() == [16, 0, 0, 0]
+        assert polymul_ntt(a, b).to_ints() == [16, 0, 0, 0]
 
     def test_matches_schoolbook(self, rng):
         for n, bits in ((8, 14), (32, 14), (64, 32), (256, 32)):
@@ -565,8 +559,8 @@ class TestPolymul:
             a = [rng.randrange(mod.q) for _ in range(n)]
             b = [rng.randrange(mod.q) for _ in range(n)]
             pa, pb = Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod)
-            fast = polymul_ntt(pa, pb, mod).to_ints()
-            slow = schoolbook_negacyclic(pa, pb, mod).to_ints()
+            fast = polymul_ntt(pa, pb).to_ints()
+            slow = schoolbook_negacyclic(pa, pb).to_ints()
             assert fast == slow == negacyclic_schoolbook_oracle(a, b, mod.q)
 
     def test_multiply_by_x_n_times_negates(self, rng):
@@ -575,7 +569,7 @@ class TestPolymul:
         x = Polynomial.from_ints([0, 1] + [0] * (n - 2), mod)
         p = Polynomial.from_ints(coeffs, mod)
         for _ in range(n):
-            p = polymul_ntt(p, x, mod)
+            p = polymul_ntt(p, x)
         assert p.to_ints() == [(mod.q - c) % mod.q for c in coeffs]
 
 
@@ -602,7 +596,7 @@ class TestSchoolbook:
         a = [rng.randrange(mod.q) for _ in range(n)]
         one = Polynomial.from_ints([1] + [0] * (n - 1), mod)
         pa = Polynomial.from_ints(a, mod)
-        assert schoolbook_negacyclic(pa, one, mod).to_ints() == a
+        assert schoolbook_negacyclic(pa, one).to_ints() == a
 
     def test_half_power_squares_to_minus_one(self):
         for n in (4, 8, 16):
@@ -610,7 +604,7 @@ class TestSchoolbook:
             h = [0] * n
             h[n // 2] = 1
             p = Polynomial.from_ints(h, mod)
-            got = schoolbook_negacyclic(p, p, mod).to_ints()
+            got = schoolbook_negacyclic(p, p).to_ints()
             assert got == [mod.q - 1] + [0] * (n - 1)
 
     def test_big_integer_convolution_oracle(self, rng):
@@ -619,7 +613,7 @@ class TestSchoolbook:
             a = [rng.randrange(mod.q) for _ in range(n)]
             b = [rng.randrange(mod.q) for _ in range(n)]
             got = schoolbook_negacyclic(
-                Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod), mod
+                Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod)
             ).to_ints()
             assert got == negacyclic_schoolbook_oracle(a, b, mod.q)
 
@@ -664,12 +658,15 @@ class TestPolynomialType:
             Polynomial.from_ints([0] * 6, Q17)
 
     def test_batch_matches_per_poly(self, rng):
+        # a polynomial's modulus and length fix the one table its transforms use
         n = 32
-        mod = ntt_modulus(14, n)
-        tw = gen_twiddles(mod, n)
-        gen = np.random.default_rng(3)
-        batch = gen.integers(0, mod.q, size=(5, n), dtype=np.uint64)
-        stacked = ntt_ct_array(batch, tw)
-        for row in range(5):
-            single = ntt_ct(Polynomial.from_ints(batch[row].tolist(), mod), tw)
-            assert single.to_ints() == stacked[row].tolist()
+        for bits in (14, 32, 40, 62):
+            mod = ntt_modulus(bits, n)
+            tw = ntt.cached_twiddles(mod, n)
+            gen = np.random.default_rng(3)
+            batch = gen.integers(0, mod.q, size=(5, n), dtype=np.uint64)
+            for array_fn, poly_fn in ((ntt_ct_array, ntt_ct), (intt_gs_array, intt_gs)):
+                stacked = array_fn(batch, tw)
+                for row in range(5):
+                    single = poly_fn(Polynomial.from_ints(batch[row].tolist(), mod))
+                    assert single.to_ints() == stacked[row].tolist()

@@ -1,5 +1,6 @@
 """Tests for residue-number-system decomposition and reconstruction."""
 
+import itertools
 import json
 import math
 
@@ -7,7 +8,6 @@ import pytest
 
 from nttsim import modarith
 from nttsim.cli import main
-from nttsim.modarith import find_ntt_prime
 from nttsim.ntt import Polynomial, polymul_ntt
 from nttsim.rns import RnsBasis, decompose, gen_basis, reconstruct, rns_polymul
 from nttsim.sim import make_sim_config
@@ -46,13 +46,19 @@ class TestBasis:
         with pytest.raises(ValueError):
             RnsBasis.from_primes([3, 3])
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(ValueError, match="^at least one modulus is required$"):
+            RnsBasis.from_moduli([])
+
     def test_insufficient_primes(self):
         with pytest.raises(ValueError):
             gen_basis(9, 40, 16)
 
     def test_chain_is_one_scan(self, monkeypatch):
         # each prime of the chain is drawn once, not rescanned from 2^bits
-        want = [find_ntt_prime(60, 4096, i) for i in range(32)]
+        two_n = 2 * 4096
+        candidates = range((1 << 60) + 1 - two_n, two_n, -two_n)
+        want = list(itertools.islice(filter(modarith.is_prime, candidates), 32))
         calls = []
         is_prime = modarith.is_prime
         monkeypatch.setattr(modarith, "is_prime", lambda x: calls.append(x) or is_prime(x))
@@ -61,7 +67,7 @@ class TestBasis:
 
     def test_one_chain_everywhere(self, capsys):
         # the basis, the simulator config and the CLI pick the same primes
-        want = [find_ntt_prime(30, 1024, i) for i in range(4)]
+        want = [gen_basis(30, i + 1, 1024).moduli[i].q for i in range(4)]
         assert [m.q for m in gen_basis(30, 4, 1024).moduli] == want
         config = make_sim_config(1024, 8, q_bits=30, n_q=4)
         assert [m.q for m in config.moduli] == want
@@ -138,9 +144,7 @@ class TestRnsPolymul:
         a = [rng.randrange(mod.q) for _ in range(8)]
         b = [rng.randrange(mod.q) for _ in range(8)]
         got = rns_polymul(decompose(a, basis), decompose(b, basis), basis)
-        plain = polymul_ntt(
-            Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod), mod
-        )
+        plain = polymul_ntt(Polynomial.from_ints(a, mod), Polynomial.from_ints(b, mod))
         assert got.residue_polys[0].to_ints() == plain.to_ints()
 
     def test_matches_bigint_schoolbook(self, rng):

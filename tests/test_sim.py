@@ -190,7 +190,7 @@ class TestStalls:
         a = random_poly(cfg.moduli[0], 16, 14)
         with pytest.raises(SimHazardError) as err:
             run(cfg, a, op="ntt")
-        assert err.value.cycle >= 0
+        assert err.value.event.cycle >= 0
 
 
 class TestFailFastFirstEvent:
@@ -828,6 +828,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="at least one modulus"):
             make_sim_config(16, 2, **kwargs)
 
+    def test_rejects_duplicate_moduli(self):
+        # checked as an RNS basis, as the CLI's --q already is
+        mod = ntt_modulus(14, 16)
+        with pytest.raises(ValueError, match="^basis primes must be distinct$"):
+            make_sim_config(16, 2, moduli=[mod, mod])
+
     def test_run_rejects_unknown_op_and_missing_operand(self):
         cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
         a = random_poly(cfg.moduli[0], 16, 40)
@@ -840,7 +846,7 @@ class TestConfigValidation:
     def test_run_rejects_operands_that_do_not_fit_the_config(self):
         cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
         mod = cfg.moduli[0]
-        other = ntt_modulus(14, 16, 1)
+        other = gen_basis(14, 2, 16).moduli[1]
         two = gen_basis(14, 2, 16)
         cases = [
             ([0] * 16, "a must be a Polynomial or RnsPolynomial"),
