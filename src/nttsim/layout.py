@@ -73,13 +73,16 @@ class LayoutMap:
         return addr * n + (bank - self.rotation * addr) % n
 
     def banks_of(self, indices: np.ndarray) -> np.ndarray:
-        """Vectorized bank numbers for an index array."""
+        """Vectorized bank numbers for an index array, in its dtype; n is
+        a power of two, so // and % are a shift and a mask."""
         indices = np.asarray(indices)
-        return (indices + self.rotation * (indices // self.n)) % self.n
+        shift = self.n.bit_length() - 1
+        return (indices + self.rotation * (indices >> shift)) & (self.n - 1)
 
     def cells(self, indices: np.ndarray) -> np.ndarray:
-        """Flat memory cells (bank * n + address) for an index array."""
-        return self.banks_of(indices) * self.n + np.asarray(indices) // self.n
+        """Flat memory cells (bank * n + address) for an index array, in its dtype."""
+        shift = self.n.bit_length() - 1
+        return self.banks_of(indices) << shift | np.asarray(indices) >> shift
 
 
 def make_layout(n_total: int, kind: str = "shifted") -> LayoutMap:

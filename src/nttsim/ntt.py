@@ -85,6 +85,7 @@ class TwiddleTable:
     order. The two tables are distinct, as the dataflow requires.
     inverse_half[j] = inverse[j]/2 mod q. forward_pre and inverse_half_pre
     hold the Shoup quotients the reference transforms multiply with.
+    Every array is read-only.
     """
 
     forward: np.ndarray
@@ -96,6 +97,12 @@ class TwiddleTable:
     forward_pre: np.ndarray
     inverse_half: np.ndarray
     inverse_half_pre: np.ndarray
+
+    def __post_init__(self):
+        # cached_twiddles hands the same arrays to every caller
+        for table in (self.forward, self.inverse, self.forward_pre,
+                      self.inverse_half, self.inverse_half_pre):
+            table.flags.writeable = False
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:

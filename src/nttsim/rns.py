@@ -58,10 +58,19 @@ class RnsBasis:
 
 @dataclass(frozen=True)
 class RnsPolynomial:
-    """One residue polynomial per basis modulus, all of equal length; the
-    moduli are the residue polynomials' own."""
+    """One residue polynomial per basis modulus: at least one, all of equal
+    length, with distinct moduli, which are the residue polynomials' own."""
 
     residue_polys: Tuple[Polynomial, ...]
+
+    def __post_init__(self):
+        polys = self.residue_polys
+        if not polys:
+            raise ValueError("at least one residue polynomial is required")
+        if len({p.n for p in polys}) > 1:
+            raise ValueError("residue polynomial lengths differ")
+        if len({p.mod.q for p in polys}) < len(polys):
+            raise ValueError("residue moduli must be distinct")
 
     @property
     def n(self) -> int:

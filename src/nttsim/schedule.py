@@ -102,6 +102,7 @@ class ScheduleTrace:
     writes back to the cells it read (w0 = r0, w1 = r1). A pointwise
     multiply reads r0 from the operand memory a and r1 from the second
     operand memory b, writes only r0 in a, and has no twiddle (tw = -1).
+    The columns are made read-only, so a trace can be shared.
     """
 
     op_kind: str
@@ -115,6 +116,10 @@ class ScheduleTrace:
     r1: np.ndarray
     tw: np.ndarray
 
+    def __post_init__(self):
+        for column in (self.stage, self.rnd, self.r0, self.r1, self.tw):
+            column.flags.writeable = False
+
     @property
     def issue_cycles(self) -> int:
         return len(self.stage) // self.npe
@@ -122,7 +127,7 @@ class ScheduleTrace:
     def stage_slices(self) -> List[Tuple[int, slice]]:
         """(stage, rows) for each stage in trace order; a stage's rows are
         contiguous and fill whole issue groups."""
-        starts = (np.flatnonzero(np.diff(self.stage)) + 1).tolist()
+        starts = ((np.flatnonzero(np.diff(self.stage[::self.npe])) + 1) * self.npe).tolist()
         edges = [0, *starts, len(self.stage)]
         return [
             (int(self.stage[lo]), slice(lo, hi)) for lo, hi in zip(edges, edges[1:])
@@ -155,72 +160,50 @@ def validate_geometry(n_total: int, npe: int) -> int:
     return n
 
 
-def _stage_pairs(n_total: int, n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
-    """First coefficient index i0 (its partner is i0 + N/2^(s+1)) and round
-    of every butterfly of stage s, in issue order.
-
-    Pairs are ordered segment-major (phase 0) or block-major (phase 1);
-    any contiguous slice of Npe pairs reads 2*Npe distinct banks.
-    """
-    k = n_total.bit_length() - 1
-    gap = n_total >> (s + 1)
-
-    def arange(count):
-        return np.arange(count, dtype=np.int32)
-
-    if s < k // 2:
-        # phase 0: round r covers indices [r*N/2^s, (r+1)*N/2^s); full-rate
-        # cycle t reads 2^s column segments j offset by n/2^s rows, each
-        # pairing rows a and a + n/2^(s+1) of the round
-        rows_per_round = n >> s
-        segments = 1 << s
-        r = arange(segments)[:, None, None, None]
-        t = arange(rows_per_round)[None, :, None, None]
-        j = arange(segments)[None, None, :, None]
-        a = arange(rows_per_round // 2)[None, None, None, :]
-        i0 = (r * rows_per_round + a) * n + t + j * rows_per_round
-        rnd = np.broadcast_to(r, i0.shape)
-    else:
-        # phase 1: pairs sit inside single rows; read row by row, block by block
-        block = 2 * gap
-        blocks_per_row = n // block
-        row = arange(n)[:, None, None]
-        beta = arange(blocks_per_row)[None, :, None]
-        i0 = row * n + beta * block + arange(gap)[None, None, :]
-        rnd = np.broadcast_to(row * blocks_per_row + beta, i0.shape)
-    return i0.ravel(), rnd.ravel()
-
-
 def build_schedule(
     n_total: int, npe: int, op_kind: str, layout_kind: str = "shifted"
 ) -> ScheduleTrace:
-    """Compute the access trace's columns, stage by stage."""
+    """Compute the access trace's columns for all stages at once.
+
+    Stage s of a transform (k = log2 N, h = k/2, t = k-1-s) numbers its
+    butterflies b in [0, N/2) in issue order. Its round is b >> t, and its
+    first coefficient i0 (the partner is i0 + 2^t) is:
+
+    - s >= h (phase 1, pairs inside one row, read row by row): b with a
+      zero bit inserted at position t;
+    - s < h (phase 0, pairs across rows, read column by column):
+      b's bit fields, high to low, are r (s bits), t' (h-s bits), j (s
+      bits) and a (h-s-1 bits), and i0 = r<<(k-s) | a<<h | j<<(h-s) | t'.
+
+    Any contiguous slice of Npe pairs then reads 2*Npe distinct banks. The
+    inverse transform runs the same stages in reverse order.
+    """
     check_op_kind(op_kind)
     n = validate_geometry(n_total, npe)
     cells = make_layout(n_total, layout_kind).cells
-    if op_kind == "mult":
-        index = np.arange(n_total, dtype=np.int32)
-        cell = cells(index)
-        stage = np.zeros(n_total, dtype=np.int32)
-        tw = np.full(n_total, -1, dtype=np.int32)
-        return ScheduleTrace(
-            op_kind, n_total, n, npe, layout_kind, stage, index // n, cell, cell, tw
-        )
-
     k = n_total.bit_length() - 1
-    stage_order = range(k) if op_kind == "ntt" else range(k - 1, -1, -1)
-    columns = {"stage": [], "rnd": [], "r0": [], "r1": [], "tw": []}
-    for s in stage_order:
-        i0, rnd = _stage_pairs(n_total, n, s)
-        columns["stage"].append(np.full(len(i0), s, dtype=np.int32))
-        columns["rnd"].append(rnd)
-        columns["r0"].append(cells(i0))
-        columns["r1"].append(cells(i0 + (n_total >> (s + 1))))
-        columns["tw"].append(rnd + (1 << s))
-    return ScheduleTrace(
-        op_kind, n_total, n, npe, layout_kind,
-        **{name: np.concatenate(parts) for name, parts in columns.items()},
-    )
+    h = k // 2
+    if op_kind == "mult":
+        i0 = i1 = np.arange(n_total, dtype=np.int32)
+        stage, rnd, tw = np.zeros_like(i0), i0 >> h, np.full_like(i0, -1)
+    else:
+        s = np.arange(k, dtype=np.int32)[:, None]
+        t = k - 1 - s
+        b = np.arange(n_total // 2, dtype=np.int32)
+        rnd = b >> t
+        i0 = rnd << (t + 1) | b & ((1 << t) - 1)
+        # phase 0 (s < h): below r, the fields t', j, a become a, j, t'
+        s0, w = s[:h], h - s[:h]  # w: the width of t'
+        a = b & ((1 << (w - 1)) - 1)
+        j = b >> (w - 1) & ((1 << s0) - 1)
+        i0[:h] = rnd[:h] << (k - s0) | a << h | j << w | b >> (h - 1) & ((1 << w) - 1)
+        i1 = i0 + (1 << t)
+        tw = rnd + (1 << s)
+        stage = np.broadcast_to(s, rnd.shape)
+        if op_kind == "intt":
+            stage, rnd, i0, i1, tw = (column[::-1] for column in (stage, rnd, i0, i1, tw))
+    columns = (column.ravel() for column in (stage, rnd, cells(i0), cells(i1), tw))
+    return ScheduleTrace(op_kind, n_total, n, npe, layout_kind, *columns)
 
 
 @dataclass(frozen=True)

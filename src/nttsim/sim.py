@@ -24,12 +24,15 @@ trace):
   (array, bank), then write conflicts by bank.
 
 detect_hazards works on the trace's int32 columns with array operations:
-port conflicts per group from sorted (array, bank) keys, each read's
-producer (the last write to its cell in an earlier group) as its
-neighbour in one sort of the written ports by (cell, read), and
-stall-free issue cycles as setup plus an exclusive prefix sum of slot
-lengths. Stalls only delay later groups, so only a read whose producer
-retires at or after the read's stall-free issue cycle can stall. The
+port conflicts per group from sorted (array, bank) keys, and stall-free
+issue cycles as setup plus an exclusive prefix sum of slot lengths.
+Stalls only delay later groups, so only a read whose producer (the last
+write to its cell in an earlier group) retires at or after the read's
+stall-free issue cycle can stall. Retire cycles strictly increase, so a
+stage's reads can find such a late producer in an earlier stage only in
+the stage's first few groups, and only its last few groups can be one
+for a later stage: a last-writer table over the cells, walked stage by
+stage, looks up and records just those. The
 stall shift of each group is then a max-plus recurrence, solved one
 dependency wave at a time: a wave is a maximal run of groups holding
 none of the producers its reads may wait on, so its shifts are one
@@ -220,14 +223,7 @@ def detect_hazards(
 
     read_cells = reads.ravel()
     ports = reads.shape[1]
-    read, read_group, producer = _producers(writes)
-    # stalls only delay later groups, so a read can wait only if its
-    # producer retires at or after the read's stall-free issue cycle
-    late = retire[producer] >= issue[read_group]
-    read, read_group, producer = read[late], read_group[late], producer[late]
-    read += read_group * (ports - writes.shape[1])  # index among all read ports
-    order = np.argsort(read)
-    candidates, groups_of, producers = read[order], read_group[order], producer[order]
+    candidates, groups_of, producers = _late_reads(trace, reads, writes, issue, retire)
 
     walked = groups  # groups issued; fail-fast stops at the first hazard
     if policy == "fail-fast":
@@ -278,40 +274,39 @@ def detect_hazards(
     return report
 
 
-def _producers(writes: np.ndarray):
-    """Each read of a written cell that an earlier group wrote: its index
-    among the write ports, its group and its producer (the group of the
-    last write to its cell in an earlier group), as int32 arrays in
-    (cell, read) order.
+def _late_reads(trace: ScheduleTrace, reads, writes, issue, retire):
+    """Each read that may wait on its producer (the last write to its cell
+    in an earlier group): its index among all read ports, its group and its
+    producer, as arrays in read order.
 
-    writes holds one row per group of the written cells, which are the
-    group's reads on those ports. A cell is written at every access (the
-    operand memory a: every ntt/intt port, mult's r0) or at none (mult's
-    second operand memory b), so reads of cells never written have no
-    producer, and among the write ports sorted by (cell, read) the access
-    just before each run of one cell in one group is that cell's last
-    write in an earlier group, if it holds the same cell.
+    retire strictly increases, so producer p is late for group g (retires
+    at or after g's stall-free issue cycle) exactly when p >= first[g], and
+    first never decreases. A table holds each cell's last writer. In a
+    stage [lo, hi) where no cell is read twice every producer lies in an
+    earlier stage, so only the groups with first[g] < lo read the table,
+    and only groups from first[hi] on enter it: an older writer cannot be
+    late for any later read, and neither can an older entry it leaves in
+    the table. A stage where some cell is read twice goes one group at a
+    time; no built schedule has one.
     """
-    groups, width = writes.shape
-    size = groups * width
-    bits = size.bit_length()
-    packed = writes.astype(np.int64).ravel()
-    packed <<= bits
-    packed |= np.arange(size)
-    packed.sort()
-    read = (packed & ((1 << bits) - 1)).astype(np.int32)
-    packed >>= bits
-    cell = packed.astype(np.int32)
-    del packed
-    group = read // np.int32(width)
-    # before[j]: the access just before the run of j's (cell, group)
-    before = np.arange(size, dtype=np.int32)
-    before[1:] *= (cell[1:] != cell[:-1]) | (group[1:] != group[:-1])
-    np.maximum.accumulate(before, out=before)
-    before -= 1
-    linked = cell[before] == cell
-    linked &= before >= 0
-    return read[linked], group[linked], group[before[linked]]
+    groups, ports = reads.shape
+    first = np.searchsorted(retire, issue)
+    last = np.full(2 * trace.N, -1)  # memory b, cells N to 2N, is never written
+    found = [np.zeros((3, 0), dtype=np.int64)]
+    for _stage, rows in trace.stage_slices():
+        lo, hi = rows.start // trace.npe, rows.stop // trace.npe
+        twice = np.bincount(reads[lo:hi].ravel()).max() > 1
+        runs = [(g, g + 1) for g in range(lo, hi)] if twice else [(lo, hi)]
+        for lo, hi in runs:
+            stop = min(hi, int(first.searchsorted(lo)))
+            if stop > lo:
+                producer = last[reads[lo:stop]]
+                group, port = np.nonzero(producer >= first[lo:stop, None])
+                found.append([(group + lo) * ports + port, group + lo, producer[group, port]])
+            if hi < groups:
+                start = max(lo, int(first[hi]))
+                last[writes[start:hi]] = np.arange(start, hi)[:, None]
+    return np.hstack(found)
 
 
 def _stall_shifts(groups, producers, waits, count) -> np.ndarray:

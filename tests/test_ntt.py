@@ -68,6 +68,15 @@ class TestTwiddles:
             tw = gen_twiddles(mod, n)
             assert tw.forward.tolist() != tw.inverse.tolist()
 
+    def test_shared_tables_are_read_only(self):
+        # cached_twiddles hands every caller these arrays: one write would
+        # make every later product with this (q, N) wrong, reference included
+        tw = ntt.cached_twiddles(ntt_modulus(14, 16), 16)
+        for name in ("forward", "inverse", "forward_pre", "inverse_half", "inverse_half_pre"):
+            table = getattr(tw, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[3] = table[4]
+
     def test_rejects_bad_congruence(self):
         # the one home of q = 1 mod 2N: 7 has no 4-point negacyclic transform
         mod = barrett_precompute(7)

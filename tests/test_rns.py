@@ -9,7 +9,7 @@ import pytest
 from nttsim import modarith
 from nttsim.cli import main
 from nttsim.ntt import Polynomial, polymul_ntt
-from nttsim.rns import RnsBasis, decompose, gen_basis, reconstruct, rns_polymul
+from nttsim.rns import RnsBasis, RnsPolynomial, decompose, gen_basis, reconstruct, rns_polymul
 from nttsim.sim import make_sim_config
 
 from conftest import negacyclic_schoolbook_oracle
@@ -73,6 +73,23 @@ class TestBasis:
         assert [m.q for m in config.moduli] == want
         assert main(["sim", "--n", "1024", "--npe", "8", "--q-bits", "30", "--nq", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["moduli"] == want
+
+
+class TestRnsPolynomial:
+    def test_rejects_no_residue_polynomial(self):
+        with pytest.raises(ValueError, match="^at least one residue polynomial is required$"):
+            RnsPolynomial(())
+
+    def test_rejects_unequal_lengths(self):
+        basis = gen_basis(14, 2, 16)
+        long, short = decompose([5] * 16, basis), decompose([5] * 8, basis)
+        with pytest.raises(ValueError, match="^residue polynomial lengths differ$"):
+            RnsPolynomial((long.residue_polys[0], short.residue_polys[1]))
+
+    def test_rejects_repeated_modulus(self):
+        poly = decompose([5] * 16, gen_basis(14, 2, 16)).residue_polys[0]
+        with pytest.raises(ValueError, match="^residue moduli must be distinct$"):
+            RnsPolynomial((poly, poly))
 
 
 class TestDecomposeReconstruct:

@@ -79,10 +79,34 @@ class TestBuildValidation:
         with pytest.raises(ValueError):
             build_schedule(16, 2, "fft")
 
+    @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
+    def test_columns_are_read_only(self, op):
+        trace = build_schedule(16, 2, op)
+        for name in ("stage", "rnd", "r0", "r1", "tw"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 1
+
+
+def assert_reference_columns(trace, records):
+    """trace's int32 columns equal the reference Records' fields in order."""
+    n = trace.n
+    expected = {
+        "stage": [rec.stage for rec in records],
+        "rnd": [rec.rnd for rec in records],
+        "r0": [rec.r0[0] * n + rec.r0[1] for rec in records],
+        "r1": [rec.r1[0] * n + rec.r1[1] for rec in records],
+        "tw": [rec.tw for rec in records],
+    }
+    for name, values in expected.items():
+        column = getattr(trace, name)
+        assert column.dtype == np.int32, name
+        assert column.tolist() == values, (trace.N, trace.npe, trace.op_kind, name)
+
 
 class TestReferenceBuilder:
     """The column trace equals the per-record reference builder, column
-    by column and Record by Record, for every N <= 4096 and every Npe."""
+    by column and Record by Record, for every N <= 4096 and every Npe, and
+    column by column at N = 16384 for the least and the greatest Npe."""
 
     @pytest.mark.parametrize("layout", ["shifted", "sequential"])
     @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
@@ -93,21 +117,18 @@ class TestReferenceBuilder:
         while npe <= n // 2:
             trace = build_schedule(n_total, npe, op, layout_kind=layout)
             want = reference_cycles(n_total, npe, op, layout)
-            records = [rec for group in want for rec in group]
-            expected = {
-                "stage": [rec.stage for rec in records],
-                "rnd": [rec.rnd for rec in records],
-                "r0": [rec.r0[0] * n + rec.r0[1] for rec in records],
-                "r1": [rec.r1[0] * n + rec.r1[1] for rec in records],
-                "tw": [rec.tw for rec in records],
-            }
-            for name, values in expected.items():
-                column = getattr(trace, name)
-                assert column.dtype == np.int32, name
-                assert column.tolist() == values, (n_total, npe, op, layout, name)
+            assert_reference_columns(trace, [rec for group in want for rec in group])
             assert trace.issue_cycles == len(want)
             assert trace.cycles == want
             npe *= 2
+
+    @pytest.mark.parametrize("layout", ["shifted", "sequential"])
+    @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
+    def test_columns_at_16384(self, op, layout):
+        # the records in issue order are the same for every Npe
+        records = [rec for group in reference_cycles(16384, 64, op, layout) for rec in group]
+        for npe in (1, 64):
+            assert_reference_columns(build_schedule(16384, npe, op, layout_kind=layout), records)
 
 
 class TestPhaseStructure:

@@ -344,6 +344,14 @@ class TestWalkProperties:
     @example(("ntt", 4, 1, [[5, 5], [5, 6]], [0, 1], PipelineConfig(0, 0, 3, 3), "stall", 0))
     @example(("mult", 4, 1, [[3, 3], [3, 3], [1, 3]], [0, 0, 0],
               PipelineConfig(0, 0, 4, 4), "stall", 1))
+    # one-group stages, shorter than the pipeline: group 3 waits on group 0,
+    # three stages back
+    @example(("ntt", 4, 1, [[0, 4], [8, 12], [1, 5], [0, 9]], [0, 1, 2, 3],
+              PipelineConfig(0, 0, 5, 5), "stall", 0))
+    # groups 1 and 2 of stage 1 both read cell 12, and group 2 waits on it
+    # and on cell 0 from stage 0
+    @example(("ntt", 4, 1, [[0, 4], [8, 12], [12, 0]], [0, 1, 1],
+              PipelineConfig(0, 0, 4, 4), "stall", 0))
     def test_hand_built_traces_match_oracle(self, case):
         op, n, npe, cells, stages, pipe, policy, setup = case
         trace = hand_trace(op, n, npe, cells, stages)
