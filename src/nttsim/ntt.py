@@ -61,12 +61,22 @@ class Polynomial:
     coeffs: np.ndarray
     mod: Modulus
 
+    def __post_init__(self):
+        # run()'s replay takes the coefficients as they are, and a cast would
+        # truncate a float or wrap a negative value: refuse them instead
+        coeffs = self.coeffs
+        if not isinstance(coeffs, np.ndarray) or coeffs.dtype != np.uint64 or coeffs.ndim != 1:
+            raise ValueError("coefficients must be a 1-D uint64 array")
+        _check_power_of_two(len(coeffs))
+        check_reduced(coeffs, self.mod.q)
+
     @classmethod
     def from_ints(cls, values: Sequence[int], mod: Modulus) -> "Polynomial":
-        _check_power_of_two(len(values))
-        if any(not 0 <= int(v) < mod.q for v in values):
+        ints = [int(v) for v in values]
+        _check_power_of_two(len(ints))
+        if not 0 <= min(ints) <= max(ints) < mod.q:
             raise ValueError(f"coefficients not reduced mod {mod.q}")
-        return cls(np.array([int(v) for v in values], dtype=np.uint64), mod)
+        return cls(np.array(ints, dtype=np.uint64), mod)
 
     @property
     def n(self) -> int:
@@ -115,16 +125,18 @@ def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
     psi = pow(find_primitive_root(q), (q - 1) // (2 * n), q)
     psi_inv = pow(psi, -1, q)
     assert pow(psi, n, q) == q - 1, "psi is not a primitive 2N-th root"
-    pows, inv_pows = [1], [1]
+    pows = [1]
     for _ in range(n - 1):
         pows.append(pows[-1] * psi % q)
-        inv_pows.append(inv_pows[-1] * psi_inv % q)
+    powers = np.array(pows, dtype=np.uint64)
+    # psi^N = -1, so psi^-i = q - psi^(N-i) for 0 < i < N
+    inv_powers = np.concatenate([powers[:1], q - powers[:0:-1]])
     # reversing b + 1 bits moves the new top bit to bit 0
     order = np.zeros(1, np.intp)
     for _ in range(bits):
         order = np.concatenate([2 * order, 2 * order + 1])
-    forward = np.array(pows, dtype=np.uint64)[order]
-    inverse = np.array(inv_pows, dtype=np.uint64)[order]
+    forward = powers[order]
+    inverse = inv_powers[order]
     inverse_half = inverse.copy()
     half_mod_into(inverse_half, q, np.empty_like(inverse))
     return TwiddleTable(

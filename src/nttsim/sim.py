@@ -32,13 +32,10 @@ stall-free issue cycle can stall. Retire cycles strictly increase, so a
 stage's reads can find such a late producer in an earlier stage only in
 the stage's first few groups, and only its last few groups can be one
 for a later stage: a last-writer table over the cells, walked stage by
-stage, looks up and records just those. The
-stall shift of each group is then a max-plus recurrence, solved one
-dependency wave at a time: a wave is a maximal run of groups holding
-none of the producers its reads may wait on, so its shifts are one
-running maximum over producer shifts already known. A built schedule's
-producers lie in earlier stages, which gives at most one wave per
-stage; a stall-free trace has no wave at all.
+stage, looks up and records just those. The stall shift of each group is
+a max-plus recurrence over those reads. A built schedule's producers lie
+in earlier stages, so the same walk solves it as it goes, one running
+maximum per stage; a stall-free trace has no late read at all.
 
 run() walks each distinct trace's timing once, whatever the number of
 RNS channels: polymul's two forward transforms share one trace, so they
@@ -64,7 +61,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from nttsim.layout import check_kind, make_layout
-from nttsim.modarith import Modulus, barrett_mul_hw_into, check_reduced, half_mod_into
+from nttsim.modarith import Modulus, barrett_mul_hw_into, half_mod_into
 from nttsim.ntt import (
     Polynomial,
     cached_twiddles,
@@ -223,7 +220,7 @@ def detect_hazards(
 
     read_cells = reads.ravel()
     ports = reads.shape[1]
-    candidates, groups_of, producers = _late_reads(trace, reads, writes, issue, retire)
+    candidates, groups_of, due, shift = _late_reads(trace, reads, writes, issue, retire)
 
     walked = groups  # groups issued; fail-fast stops at the first hazard
     if policy == "fail-fast":
@@ -237,8 +234,8 @@ def detect_hazards(
             # are checked before its ports: keep the stopping group's RAW
             # hazards or, if it has none, its port conflicts
             keep = groups_of == walked
-            candidates, groups_of, producers = (
-                column[keep] for column in (candidates, groups_of, producers)
+            candidates, groups_of, due = (
+                column[keep] for column in (candidates, groups_of, due)
             )
             at = -1 if len(candidates) else walked
             read_runs, write_runs = (
@@ -246,12 +243,9 @@ def detect_hazards(
                 for runs in (read_runs, write_runs)
             )
 
-    # the wait of each candidate read if nothing before it stalled; stalls
-    # then delay its producer's write by the producer's shift and its attempt
-    # by the shift of the group before (never group 0, which has no producer)
-    waits = retire[producers] + 1 - issue[groups_of]
-    shift = _stall_shifts(groups_of, producers, waits, groups)
-    waits += shift[producers] - shift[groups_of - 1]
+    # a read is attempted when the group before it issued, shift[g - 1]
+    # after g's stall-free cycle (g is never group 0, which has no producer)
+    waits = due - shift[groups_of - 1]
     hit = waits > 0
     raw = (candidates[hit], issue[groups_of[hit]] + shift[groups_of[hit] - 1], waits[hit])
     report.raw_count = len(raw[0])
@@ -276,60 +270,46 @@ def detect_hazards(
 
 def _late_reads(trace: ScheduleTrace, reads, writes, issue, retire):
     """Each read that may wait on its producer (the last write to its cell
-    in an earlier group): its index among all read ports, its group and its
-    producer, as arrays in read order.
+    in an earlier group), as arrays in read order: its index among all read
+    ports, its group g and its due cycle (when its cell becomes readable,
+    counted from g's stall-free issue cycle); then each group's stall shift
+    (it issues that much after its stall-free cycle).
 
     retire strictly increases, so producer p is late for group g (retires
     at or after g's stall-free issue cycle) exactly when p >= first[g], and
-    first never decreases. A table holds each cell's last writer. In a
-    stage [lo, hi) where no cell is read twice every producer lies in an
-    earlier stage, so only the groups with first[g] < lo read the table,
-    and only groups from first[hi] on enter it: an older writer cannot be
-    late for any later read, and neither can an older entry it leaves in
-    the table. A stage where some cell is read twice goes one group at a
-    time; no built schedule has one.
+    first never decreases. A table holds each cell's last writer. A run is
+    a stage [lo, hi) where no cell is read twice, else one group of it (no
+    built schedule has such a stage). Only the run's groups with
+    first[g] < lo read the table, and only groups from first[hi] on enter
+    it: an older writer cannot be late for any later read, and neither can
+    an older entry it leaves in the table. A run's producers lie in earlier
+    runs, whose shifts are known, so the run's shifts are one running
+    maximum: shift[g] = max(shift[g - 1], the due cycles of g's late reads).
     """
     groups, ports = reads.shape
     first = np.searchsorted(retire, issue)
     last = np.full(2 * trace.N, -1)  # memory b, cells N to 2N, is never written
+    shift = np.zeros(groups + 1, dtype=np.int64)  # shift[-1] = 0 comes before group 0
     found = [np.zeros((3, 0), dtype=np.int64)]
     for _stage, rows in trace.stage_slices():
         lo, hi = rows.start // trace.npe, rows.stop // trace.npe
         twice = np.bincount(reads[lo:hi].ravel()).max() > 1
         runs = [(g, g + 1) for g in range(lo, hi)] if twice else [(lo, hi)]
         for lo, hi in runs:
+            shift[lo:hi] = shift[lo - 1]
             stop = min(hi, int(first.searchsorted(lo)))
-            if stop > lo:
-                producer = last[reads[lo:stop]]
-                group, port = np.nonzero(producer >= first[lo:stop, None])
-                found.append([(group + lo) * ports + port, group + lo, producer[group, port]])
+            producer = last[reads[lo:stop]]
+            group, port = np.nonzero(producer >= first[lo:stop, None])
+            if len(group):
+                producer, group = producer[group, port], group + lo
+                due = retire[producer] + shift[producer] + 1 - issue[group]
+                np.maximum.at(shift, group, due)
+                np.maximum.accumulate(shift[lo:hi], out=shift[lo:hi])
+                found.append([group * ports + port, group, due])
             if hi < groups:
                 start = max(lo, int(first[hi]))
                 last[writes[start:hi]] = np.arange(start, hi)[:, None]
-    return np.hstack(found)
-
-
-def _stall_shifts(groups, producers, waits, count) -> np.ndarray:
-    """Stall shift of each of count issue groups (it issues that much after
-    its stall-free cycle), given each candidate read's group, producer group
-    and stall-free wait in read order: shift[g] = max(shift[g - 1], max over
-    g's candidate reads of wait + shift[producer]), solved as one running
-    maximum per dependency wave (see the module docstring)."""
-    shift = np.zeros(count, dtype=np.int64)
-    # reads before a wave have earlier producers, so the wave ends at the
-    # group of the first read whose producer is the wave's first group or later
-    reach = np.maximum.accumulate(producers)
-    lo = 0
-    while lo < len(groups):
-        first = groups[lo]
-        stop = np.searchsorted(reach, first)
-        last = groups[stop] if stop < len(groups) else count
-        hi = np.searchsorted(groups, last)
-        need = np.full(last - first, shift[first - 1])
-        np.maximum.at(need, groups[lo:hi] - first, waits[lo:hi] + shift[producers[lo:hi]])
-        shift[first:last] = np.maximum.accumulate(need)
-        lo = hi
-    return shift
+    return (*np.hstack(found), shift[:groups])
 
 
 def _per_stage(trace: ScheduleTrace, cost: np.ndarray) -> dict:
@@ -576,8 +556,7 @@ def _channels(value, moduli, n_total, what):
             raise ValueError(f"{what} channel modulus {poly.mod.q} != config {mod.q}")
         if poly.n != n_total:
             raise ValueError(f"{what} length {poly.n} != configured N {n_total}")
-    # the replay's kernels take reduced operands unchecked
-    return [check_reduced(np.asarray(p.coeffs, dtype=np.uint64), p.mod.q) for p in polys]
+    return [p.coeffs for p in polys]
 
 
 def run(
@@ -588,18 +567,20 @@ def run(
 ) -> SimReport:
     """Time, replay and verify one op, step by step as OP_STEPS lists it.
 
-    detect_hazards times each distinct trace once for all RNS channels,
-    so polymul's two forward transforms append the same report; under
-    fail-fast its first event is raised. Each channel then replays the
-    trace's numerics in its own banked memory, and every op's output
+    Only a mult step reads b; an op without one refuses b rather than
+    ignore it. detect_hazards times each distinct trace once for all RNS
+    channels, so polymul's two forward transforms append the same report;
+    under fail-fast its first event is raised. Each channel then replays
+    the trace's numerics in its own banked memory, and every op's output
     must equal the reference transform of the input it read from that
     memory, stalls or not.
     """
     sequence = op_steps(op)
     a_chan = _channels(a, config.moduli, config.N, "a")
     b_chan = _channels(b, config.moduli, config.N, "b")
-    if "mult" in sequence and b_chan is None:
-        raise ValueError(f"op {op!r} needs a second operand")
+    if ("mult" in sequence) != (b_chan is not None):
+        need = "needs a" if b_chan is None else "takes no"
+        raise ValueError(f"op {op!r} {need} second operand")
 
     # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
     cells = make_layout(config.N, config.layout_kind).cells(np.arange(config.N))

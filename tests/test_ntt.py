@@ -666,6 +666,21 @@ class TestPolynomialType:
         with pytest.raises(ValueError):
             Polynomial.from_ints([0] * 6, Q17)
 
+    # the kernels take coefficients unchecked: nothing is cast or truncated
+    @pytest.mark.parametrize("coeffs,message", [
+        (np.full(16, 1.7), "^coefficients must be a 1-D uint64 array$"),
+        (np.ones(16, dtype=np.int64), "^coefficients must be a 1-D uint64 array$"),
+        (np.ones((4, 4), dtype=np.uint64), "^coefficients must be a 1-D uint64 array$"),
+        ([1] * 16, "^coefficients must be a 1-D uint64 array$"),
+        (np.ones(12, dtype=np.uint64), "^polynomial length 12 must be a power of two >= 4$"),
+        (np.array([16193] + [0] * 15, dtype=np.uint64), "^operands not reduced mod 16193$"),
+    ], ids=["float64", "int64", "2-D", "list", "length 12", "value q"])
+    def test_constructor_refuses_what_it_cannot_hold(self, coeffs, message):
+        mod = ntt_modulus(14, 16)
+        assert mod.q == 16193
+        with pytest.raises(ValueError, match=message):
+            Polynomial(coeffs, mod)
+
     def test_batch_matches_per_poly(self, rng):
         # a polynomial's modulus and length fix the one table its transforms use
         n = 32

@@ -7,6 +7,7 @@ oracle in timing_oracle.py.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -416,6 +417,32 @@ class TestClosedFormStalls:
             assert detect_hazards(trace, pipe).stall_cycles == closed, delay
 
 
+class TestWalkDigest:
+    """Every detect_hazards report over a fixed grid, pinned byte for byte:
+    N 16-1024 at every Npe, both layouts, ntt, intt and mult, six forward
+    delays around the RAW bound (the inverse butterfly adds one), setup 2,
+    under stall and fail-fast. 1008 walks."""
+
+    DIGEST = "f95af1a14aaed2711c815bed07c9c87703a5d2b8f5bde3cad6414b4ecc772dbf"
+
+    def test_reports_pinned(self):
+        digest = hashlib.sha256()
+        for n_total in (16, 64, 256, 1024):
+            n = 1 << ((n_total.bit_length() - 1) // 2)
+            for npe in [1 << e for e in range((n // 2).bit_length())]:
+                bound = (n // 2) * (n // (2 * npe))
+                for delay in (0, bound - 1, bound, bound + 1, 2 * bound, 3 * bound + 3):
+                    quarter = delay // 4
+                    pipe = PipelineConfig(quarter, quarter, delay - 2 * quarter, delay - 2 * quarter)
+                    for layout in ("shifted", "sequential"):
+                        for op in ("ntt", "intt", "mult"):
+                            trace = build_schedule(n_total, npe, op, layout)
+                            for policy in ("stall", "fail-fast"):
+                                report = detect_hazards(trace, pipe, 2, policy)
+                                digest.update(repr(dataclasses.astuple(report)).encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 @st.composite
 def run_cases(draw):
     """A geometry and pipeline up to N=256, an op run() accepts, a layout,
@@ -443,7 +470,7 @@ class TestRunProperties:
         )
         mod = cfg.moduli[0]
         a, b = random_poly(mod, n_total, seed), random_poly(mod, n_total, seed + 1)
-        report = run(cfg, a, b, op=op)
+        report = run(cfg, a, b if op == "polymul" else None, op=op)
 
         tw = cached_twiddles(mod, n_total)
         if op == "polymul":
@@ -491,7 +518,7 @@ class TestMismatchCheck:
     def test_corrupted_trace_raises(self, monkeypatch, op, field):
         cfg = make_sim_config(64, 4, q_bits=14, profile="q14")
         a = random_poly(cfg.moduli[0], 64, 27)
-        b = random_poly(cfg.moduli[0], 64, 28)
+        b = random_poly(cfg.moduli[0], 64, 28) if op == "mult" else None
         run(cfg, a, b, op=op)
         self.corrupt_schedule(monkeypatch, op, field)
         with pytest.raises(SimMismatchError):
@@ -802,9 +829,8 @@ class TestConfigValidation:
     def test_rejects_unreduced_operand(self):
         cfg = make_sim_config(16, 2, q_bits=14)
         mod = cfg.moduli[0]
-        a = Polynomial(np.array([mod.q + 3] + [0] * 15, dtype=np.uint64), mod)
         with pytest.raises(ValueError, match="not reduced"):
-            run(cfg, a, op="ntt")
+            run(cfg, Polynomial(np.array([mod.q + 3] + [0] * 15, dtype=np.uint64), mod), op="ntt")
 
     def test_rejects_unknown_profile_and_missing_moduli(self):
         with pytest.raises(ValueError, match="unknown profile 'q99'"):
@@ -850,6 +876,10 @@ class TestConfigValidation:
         for op in ("mult", "polymul"):
             with pytest.raises(ValueError, match=f"op '{op}' needs a second operand"):
                 run(cfg, a, op=op)
+        # a second operand no step reads is refused, not ignored
+        for op in ("ntt", "intt"):
+            with pytest.raises(ValueError, match=f"^op '{op}' takes no second operand$"):
+                run(cfg, a, a, op=op)
 
     def test_run_rejects_operands_that_do_not_fit_the_config(self):
         cfg = make_sim_config(16, 2, q_bits=14, profile="ideal")
