@@ -1,7 +1,8 @@
 """Bank placement for the accelerator's n x n coefficient memory.
 
 N coefficients live in n = sqrt(N) banks of depth n, where square_side
-checks N: a power of two, even log2, N >= 16. Row r is rotated right by r banks:
+checks N: a power of two, even log2, 16 <= N <= MAX_N. Row r is rotated
+right by r banks:
 
     (address, bank) = (i // n, (i mod n + i // n) mod n)
 
@@ -17,6 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
+from nttsim.ntt import check_max_n
+
 # row r is rotated right by rotation * r banks (see LayoutMap)
 _ROTATION = {"shifted": 1, "sequential": 0}
 KINDS = tuple(_ROTATION)
@@ -27,6 +30,7 @@ def square_side(n_total: int) -> int:
     if n_total < 16 or n_total & (n_total - 1) or bits % 2:
         raise ValueError(f"N={n_total} unsupported: the square memory needs "
                          "a power of two with even log2 and N >= 16")
+    check_max_n(n_total)
     return 1 << (bits // 2)
 
 

@@ -5,7 +5,8 @@ natural-order input to bit-reversed output; the inverse is the matching
 decimation-in-frequency form taking bit-reversed input back to natural
 order. Chaining them needs no bit-reversal pass anywhere. Twiddles are
 merged powers of psi (a primitive 2N-th root), so the wrap of
-Z_q[x]/(x^N + 1) is built into the tables.
+Z_q[x]/(x^N + 1) is built into the tables; they too are grown in
+bit-reversed order, one doubling step per stage, and never permuted.
 
 The inverse butterfly halves both legs at every stage, which replaces the
 usual final multiplication by N^-1.
@@ -28,6 +29,7 @@ what the modelled butterfly units execute; run() then checks it against
 transforms that share no multiply with it.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import IO, List, Sequence
 
@@ -48,10 +50,30 @@ from nttsim.modarith import (
 )
 
 
+# The largest N anything accepts. Time and memory grow with N, so a mistyped
+# N is refused from its value alone instead of running until memory runs out.
+MAX_N = 1 << 20
+
+
+def check_max_n(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"N={n} exceeds the maximum N={MAX_N}")
+
+
 def _check_power_of_two(n: int) -> int:
     if n < 4 or n & (n - 1):
         raise ValueError(f"polynomial length {n} must be a power of two >= 4")
+    check_max_n(n)
     return n.bit_length() - 1
+
+
+def _as_ints(values) -> List[int]:
+    """values as Python ints; a float is refused, not truncated, and a
+    string is refused, not parsed."""
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        raise ValueError("coefficients must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -69,10 +91,12 @@ class Polynomial:
             raise ValueError("coefficients must be a 1-D uint64 array")
         _check_power_of_two(len(coeffs))
         check_reduced(coeffs, self.mod.q)
+        # checked once here, so no later write may take a value out of range
+        coeffs.flags.writeable = False
 
     @classmethod
     def from_ints(cls, values: Sequence[int], mod: Modulus) -> "Polynomial":
-        ints = [int(v) for v in values]
+        ints = _as_ints(values)
         _check_power_of_two(len(ints))
         if not 0 <= min(ints) <= max(ints) < mod.q:
             raise ValueError(f"coefficients not reduced mod {mod.q}")
@@ -117,7 +141,11 @@ class TwiddleTable:
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
     """The one check of q = 1 mod 2N; psi = g^((q-1)/2N) by builtin pow, g the
-    smallest primitive root mod q (its only use); both tables in bit-reversed order."""
+    smallest primitive root mod q (its only use). As bitrev(2^b + j) =
+    bitrev(j) + 2^(log2 N - 1 - b) for j < 2^b, barrett_mul_hw_batch grows each
+    table in bit-reversed order: entries [2^b, 2^(b+1)) are entries [0, 2^b)
+    times a power of psi (forward, from 1) or psi^-1 (inverse, from 1;
+    inverse_half, from (q+1)/2 = 1/2)."""
     bits = _check_power_of_two(n)
     q = mod.q
     if q % (2 * n) != 1:
@@ -125,26 +153,16 @@ def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
     psi = pow(find_primitive_root(q), (q - 1) // (2 * n), q)
     psi_inv = pow(psi, -1, q)
     assert pow(psi, n, q) == q - 1, "psi is not a primitive 2N-th root"
-    pows = [1]
-    for _ in range(n - 1):
-        pows.append(pows[-1] * psi % q)
-    powers = np.array(pows, dtype=np.uint64)
-    # psi^N = -1, so psi^-i = q - psi^(N-i) for 0 < i < N
-    inv_powers = np.concatenate([powers[:1], q - powers[:0:-1]])
-    # reversing b + 1 bits moves the new top bit to bit 0
-    order = np.zeros(1, np.intp)
-    for _ in range(bits):
-        order = np.concatenate([2 * order, 2 * order + 1])
-    forward = powers[order]
-    inverse = inv_powers[order]
-    inverse_half = inverse.copy()
-    half_mod_into(inverse_half, q, np.empty_like(inverse))
-    return TwiddleTable(
-        forward, inverse, psi, psi_inv, mod, n,
-        forward_pre=shoup_precompute(forward, mod),
-        inverse_half=inverse_half,
-        inverse_half_pre=shoup_precompute(inverse_half, mod),
-    )
+    tables = np.empty((3, n), np.uint64)
+    tables[:, 0] = 1, 1, (q + 1) // 2
+    for b in range(bits):
+        e = 1 << (bits - 1 - b)
+        roots = [[pow(psi, e, q)], [pow(psi_inv, e, q)], [pow(psi_inv, e, q)]]
+        tables[:, 1 << b:2 << b] = barrett_mul_hw_batch(tables[:, :1 << b], roots, mod)
+    forward, inverse, inverse_half = tables
+    forward_pre, inverse_half_pre = shoup_precompute(tables[::2], mod)
+    return TwiddleTable(forward, inverse, psi, psi_inv, mod, n,
+                        forward_pre, inverse_half, inverse_half_pre)
 
 
 _twiddle_cache: dict = {}

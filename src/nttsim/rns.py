@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from nttsim.modarith import Modulus, _ntt_primes, barrett_precompute
-from nttsim.ntt import Polynomial, _check_power_of_two, polymul_ntt
+from nttsim.ntt import Polynomial, _as_ints, _check_power_of_two, polymul_ntt
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
 
 def decompose(coeffs: Sequence[int], basis: RnsBasis) -> RnsPolynomial:
     """Split coefficients in [0, Q) into per-modulus residue polynomials."""
-    values = np.array([int(c) for c in coeffs], dtype=object)
+    values = np.array(_as_ints(coeffs), dtype=object)
     _check_power_of_two(len(values))
     bad = values[(values < 0) | (values >= basis.big_q)]
     if bad.size:

@@ -181,6 +181,10 @@ class TestRejectedInput:
         (["sim", "--n", "16", "--npe", "2", "--q-bits", "-1"], "bit width -1 is negative"),
         # repeated moduli are refused as an RNS basis
         (["sim", "--n", "16", "--npe", "2", "--q", "97,97"], "basis primes must be distinct"),
+        # an N above the maximum is refused before any table or draw
+        (["ntt", "--n", "4194304", "--q-bits", "62"], "N=4194304 exceeds the maximum N=1048576"),
+        (["sim", "--n", "4194304", "--npe", "4", "--q-bits", "32", "--op", "polymul"],
+         "N=4194304 exceeds the maximum N=1048576"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)

@@ -11,8 +11,10 @@ from nttsim.layout import (
     coefficient_at,
     make_layout,
     place,
+    square_side,
     verify_conflict_free,
 )
+from nttsim.ntt import MAX_N
 
 
 class TestPlace:
@@ -98,6 +100,15 @@ class TestLayoutMap:
             place(0, n)
         with pytest.raises(ValueError, match=message):
             coefficient_at(0, 0, n)
+
+    def test_rejects_n_above_the_maximum(self):
+        # refused from N alone, before any map is built
+        assert square_side(MAX_N) == 1024
+        message = r"^N=4194304 exceeds the maximum N=1048576$"
+        with pytest.raises(ValueError, match=message):
+            square_side(4 * MAX_N)
+        with pytest.raises(ValueError, match=message):
+            make_layout(4 * MAX_N)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown layout kind 'diagonal'"):

@@ -43,6 +43,7 @@ from conftest import (
 )
 
 Q17 = barrett_precompute(17)
+TABLES = ("forward", "inverse", "forward_pre", "inverse_half", "inverse_half_pre")
 
 
 def poly17(coeffs):
@@ -111,6 +112,33 @@ class TestTwiddles:
         tw = gen_twiddles(ntt_modulus(bits, n), n)
         data = tw.forward.astype("<u8").tobytes() + tw.inverse.astype("<u8").tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+    def test_all_five_tables_pinned(self):
+        # sha256 of every table array as little-endian words over the pairs
+        # above: however the tables are built, every word must stay
+        digest = hashlib.sha256()
+        for bits, n in ((14, 16), (14, 1024), (32, 4096), (32, 16384), (40, 1024), (62, 256)):
+            tw = gen_twiddles(ntt_modulus(bits, n), n)
+            for name in TABLES:
+                digest.update(getattr(tw, name).astype("<u8").tobytes())
+        assert digest.hexdigest() == (
+            "c873b44e4c027fbfd8ab9ca9bf870445d64f83551eeec2ad68ac72a06240609e")
+
+    @pytest.mark.parametrize("n", [4, 16, 1024])
+    @pytest.mark.parametrize("bits", [14, 31, 32, 33, 40, 62])
+    def test_tables_match_pow(self, bits, n):
+        # every entry from builtin pow, independent of how the tables are built
+        mod = ntt_modulus(bits, n)
+        q, s = mod.q, 32 if mod.k <= 32 else 64
+        tw = gen_twiddles(mod, n)
+        assert pow(tw.psi, n, q) == q - 1
+        columns = zip(*(getattr(tw, name).tolist() for name in TABLES))
+        for j, (fwd, inv, fwd_pre, half, half_pre) in enumerate(columns):
+            assert fwd == pow(tw.psi, bit_reverse(j, n.bit_length() - 1), q)
+            assert inv == pow(fwd, -1, q)
+            assert half < q and 2 * half % q == inv
+            # Shoup quotients floor(w * 2^s / q)
+            assert (fwd_pre, half_pre) == ((fwd << s) // q, (half << s) // q)
 
     def test_any_modulus_of_a_prime_is_transform_ready(self, rng):
         # no root step between barrett_precompute and the transforms
@@ -680,6 +708,33 @@ class TestPolynomialType:
         assert mod.q == 16193
         with pytest.raises(ValueError, match=message):
             Polynomial(coeffs, mod)
+
+    def test_coefficients_are_read_only(self):
+        # the values are checked once, when the polynomial is built: a write
+        # could store one that write_polynomial saves and read_polynomial refuses
+        p = Polynomial(np.arange(16, dtype=np.uint64), ntt_modulus(14, 16))
+        with pytest.raises(ValueError, match="read-only"):
+            p.coeffs[0] = 16198
+        assert not poly17([1, 2, 3, 4]).coeffs.flags.writeable
+
+    @pytest.mark.parametrize("value", [1.7, np.float64(2.9), "5"],
+                             ids=["float", "numpy float", "str"])
+    def test_from_ints_refuses_non_integers(self, value):
+        # int() would truncate a float and parse a string
+        mod = ntt_modulus(14, 16)
+        with pytest.raises(ValueError, match="^coefficients must be integers$"):
+            Polynomial.from_ints([value] * 16, mod)
+        assert Polynomial.from_ints(np.arange(16), mod).to_ints() == list(range(16))
+
+    def test_length_bound(self):
+        # refused from N alone, before any table or operand is allocated
+        assert ntt.MAX_N == 1 << 20
+        assert ntt._check_power_of_two(ntt.MAX_N) == 20
+        message = r"^N=2097152 exceeds the maximum N=1048576$"
+        with pytest.raises(ValueError, match=message):
+            ntt._check_power_of_two(2 * ntt.MAX_N)
+        with pytest.raises(ValueError, match=message):
+            gen_twiddles(Q17, 2 * ntt.MAX_N)
 
     def test_batch_matches_per_poly(self, rng):
         # a polynomial's modulus and length fix the one table its transforms use

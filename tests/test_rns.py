@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nttsim import modarith
@@ -112,6 +113,14 @@ class TestDecomposeReconstruct:
             decompose([15, 0, 0, 0], basis)
         with pytest.raises(ValueError):
             decompose([-1, 0, 0, 0], basis)
+
+    @pytest.mark.parametrize("value", [1.7, np.float64(2.9), "5"],
+                             ids=["float", "numpy float", "str"])
+    def test_rejects_non_integers(self, value):
+        # int() would truncate a float and parse a string
+        basis = gen_basis(30, 2, 16)
+        with pytest.raises(ValueError, match="^coefficients must be integers$"):
+            decompose([value] * 16, basis)
 
     def test_foreign_basis_rejected(self):
         # CRT weights of another basis would give wrong coefficients
