@@ -12,13 +12,14 @@ from collections import Counter
 from nttsim.schedule import PROFILES, build_schedule, check_raw_bound, trace_stats
 
 trace = build_schedule(64, 4, "ntt")
-cycles = trace.cycles  # Record view of the trace's columns
 print("N=64, Npe=4: first cycles of each phase\n")
 for cycle_no in (0, 1, 24, 25):
-    recs = cycles[cycle_no]
-    stage = recs[0].stage
+    rows = trace.cycles[cycle_no]  # the issue group's rows of the columns
+    stage = trace.stage[rows[0]]
     phase = 0 if stage < 3 else 1
-    cells = ", ".join(f"b{r.r0[0]}a{r.r0[1]}+b{r.r1[0]}a{r.r1[1]}" for r in recs)
+    b0, a0 = divmod(trace.r0[rows], trace.n)
+    b1, a1 = divmod(trace.r1[rows], trace.n)
+    cells = ", ".join(f"b{x0}a{y0}+b{x1}a{y1}" for x0, y0, x1, y1 in zip(b0, a0, b1, a1))
     print(f"cycle {cycle_no:3d} (stage {stage}, phase {phase}): {cells}")
 
 stats = trace_stats(trace)

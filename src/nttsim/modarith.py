@@ -326,11 +326,18 @@ def _run_blocks(share, count: int, block: int) -> None:
         future.result()
 
 
-def check_reduced(values: np.ndarray, q: int) -> np.ndarray:
-    """values itself, once checked to lie in [0, q)."""
-    if values.size and int(values.max()) >= q:
+def check_reduced(values, q: int) -> np.ndarray:
+    """values as a uint64 array, once checked to be integers in [0, q): the
+    array itself when it is one already. A float or bool is refused, not
+    truncated, and a negative value is refused, not wrapped."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        raise ValueError("operands must be integers")
+    if values.size and (
+        values.dtype.kind == "i" and values.min() < 0 or int(values.max()) >= q
+    ):
         raise ValueError(f"operands not reduced mod {q}")
-    return values
+    return values.astype(np.uint64, copy=False)
 
 
 def reduce_once_into(x: np.ndarray, q: int, out: np.ndarray, tmp: np.ndarray) -> None:
@@ -429,7 +436,7 @@ def half_mod_into(x: np.ndarray, q: int, tmp: np.ndarray) -> None:
 def barrett_mul_hw_batch(a, b, mod: Modulus) -> np.ndarray:
     """Elementwise barrett_mul_hw over uint64 arrays, once checked to be
     reduced, one cache block at a time, the blocks shared out by _run_blocks."""
-    a, b = (check_reduced(np.asarray(x, dtype=np.uint64), mod.q) for x in (a, b))
+    a, b = (check_reduced(x, mod.q) for x in (a, b))
     a, b = np.broadcast_arrays(a, b)
     out = np.empty(a.shape, np.uint64)
     flat_a, flat_b, flat_out = a.reshape(-1), b.reshape(-1), out.reshape(-1)

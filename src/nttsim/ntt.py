@@ -90,9 +90,11 @@ class Polynomial:
         if not isinstance(coeffs, np.ndarray) or coeffs.dtype != np.uint64 or coeffs.ndim != 1:
             raise ValueError("coefficients must be a 1-D uint64 array")
         _check_power_of_two(len(coeffs))
-        check_reduced(coeffs, self.mod.q)
-        # checked once here, so no later write may take a value out of range
+        # checked once here, on a private copy that is then frozen, so no
+        # later write, through this array or another, takes a value out of range
+        coeffs = check_reduced(coeffs.copy(), self.mod.q)
         coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def from_ints(cls, values: Sequence[int], mod: Modulus) -> "Polynomial":
@@ -119,7 +121,7 @@ class TwiddleTable:
     order. The two tables are distinct, as the dataflow requires.
     inverse_half[j] = inverse[j]/2 mod q. forward_pre and inverse_half_pre
     hold the Shoup quotients the reference transforms multiply with.
-    Every array is read-only.
+    Every array, and any array it views, is read-only.
     """
 
     forward: np.ndarray
@@ -133,10 +135,13 @@ class TwiddleTable:
     inverse_half_pre: np.ndarray
 
     def __post_init__(self):
-        # cached_twiddles hands the same arrays to every caller
+        # cached_twiddles hands the same arrays to every caller; gen_twiddles
+        # cuts them from two larger arrays, which are frozen too
         for table in (self.forward, self.inverse, self.forward_pre,
                       self.inverse_half, self.inverse_half_pre):
-            table.flags.writeable = False
+            for array in (table, table.base):
+                if array is not None:
+                    array.flags.writeable = False
 
 
 def gen_twiddles(mod: Modulus, n: int) -> TwiddleTable:
@@ -223,11 +228,11 @@ def gs_stage(u, v, mul, w, mod: Modulus, s1, s2) -> None:
 
 def _reduced_copy(values, tw: TwiddleTable) -> np.ndarray:
     """A uint64 copy of values, checked for length N and reduced entries."""
-    out = np.array(values, dtype=np.uint64, copy=True)
+    out = np.array(check_reduced(values, tw.mod.q))
     n = out.shape[-1] if out.ndim else 0
     if n != tw.n:
         raise ValueError(f"polynomial length {n} does not match table N={tw.n}")
-    return check_reduced(out, tw.mod.q)
+    return out
 
 
 def _run_stages(x: np.ndarray, tw: TwiddleTable, butterfly, tables, groups) -> None:
@@ -303,8 +308,7 @@ def schoolbook_negacyclic_array(a, b, mod: Modulus) -> np.ndarray:
     This is the oracle the transforms are checked against, so it shares
     no kernel with them.
     """
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
+    a, b = check_reduced(a, mod.q), check_reduced(b, mod.q)
     if a.shape != b.shape:
         raise ValueError("operands must have equal shapes")
     n = a.shape[-1]

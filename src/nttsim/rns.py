@@ -20,6 +20,19 @@ from nttsim.modarith import Modulus, _ntt_primes, barrett_precompute
 from nttsim.ntt import Polynomial, _as_ints, _check_power_of_two, polymul_ntt
 
 
+# The most moduli a basis holds. The prime scan and the CRT weights (whose
+# cost grows with the square of the count) run before any operand exists,
+# so a mistyped count is refused from its value alone.
+MAX_NQ = 64
+
+
+def _check_count(n_q: int) -> None:
+    if n_q < 1:
+        raise ValueError("at least one modulus is required")
+    if n_q > MAX_NQ:
+        raise ValueError(f"Nq={n_q} exceeds the maximum Nq={MAX_NQ}")
+
+
 @dataclass(frozen=True)
 class RnsBasis:
     """Ordered prime moduli with CRT reconstruction constants.
@@ -34,8 +47,7 @@ class RnsBasis:
     @classmethod
     def from_moduli(cls, moduli: Sequence[Modulus]) -> "RnsBasis":
         qs = [m.q for m in moduli]
-        if not qs:
-            raise ValueError("at least one modulus is required")
+        _check_count(len(qs))
         if len(set(qs)) != len(qs):
             raise ValueError("basis primes must be distinct")
         big_q = 1
@@ -81,8 +93,7 @@ def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
     """The n_q largest primes below 2^word_bits congruent to 1 mod 2N,
     drawn from one scan of the candidates: the one prime chain, which the
     simulator config and the CLI also use."""
-    if n_q < 1:
-        raise ValueError("at least one modulus is required")
+    _check_count(n_q)
     primes = itertools.islice(_ntt_primes(word_bits, n), n_q)
     moduli = [barrett_precompute(q) for q in primes]
     return RnsBasis.from_moduli(moduli)

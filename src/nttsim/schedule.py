@@ -21,7 +21,7 @@ when its total depth is strictly below that.
 """
 
 from dataclasses import dataclass, field, fields
-from typing import IO, List, NamedTuple, Optional, Tuple
+from typing import IO, List, Tuple
 
 import numpy as np
 
@@ -31,8 +31,6 @@ OP_KINDS = ("ntt", "intt", "mult")
 
 # bound on setup cycles and every delay; cycle sums stay far inside int64
 MAX_CYCLES = 1 << 32
-
-Cell = Tuple[int, int]  # (bank, address)
 
 
 def check_op_kind(op_kind: str) -> str:
@@ -80,29 +78,17 @@ PROFILES = {
 }
 
 
-class Record(NamedTuple):
-    """One butterfly (or one modular multiply) issued in one cycle."""
-
-    pe: int
-    stage: int
-    rnd: int
-    r0: Cell
-    r1: Cell
-    w0: Cell
-    w1: Optional[Cell]
-    tw: int
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduleTrace:
     """One operation's accesses as int32 columns, one row per butterfly.
 
     Rows are in issue order; row j runs on PE j % npe in issue group
-    j // npe. r0 and r1 are flat cells (bank * n + addr). A butterfly
-    writes back to the cells it read (w0 = r0, w1 = r1). A pointwise
-    multiply reads r0 from the operand memory a and r1 from the second
-    operand memory b, writes only r0 in a, and has no twiddle (tw = -1).
-    The columns are made read-only, so a trace can be shared.
+    j // npe, whose rows cycles[j // npe] lists. r0 and r1 are flat cells
+    (bank * n + addr). A butterfly writes back to the cells it read
+    (w0 = r0, w1 = r1). A pointwise multiply reads r0 from the operand
+    memory a and r1 from the second operand memory b, writes only r0 in
+    a, and has no twiddle (tw = -1). The columns and the arrays they view
+    are made read-only, so a trace can be shared.
     """
 
     op_kind: str
@@ -118,7 +104,9 @@ class ScheduleTrace:
 
     def __post_init__(self):
         for column in (self.stage, self.rnd, self.r0, self.r1, self.tw):
-            column.flags.writeable = False
+            for array in (column, column.base):
+                if array is not None:
+                    array.flags.writeable = False
 
     @property
     def issue_cycles(self) -> int:
@@ -134,22 +122,9 @@ class ScheduleTrace:
         ]
 
     @property
-    def cycles(self) -> List[List[Record]]:
-        """The trace as issue groups of Records, built anew on each access."""
-        n, npe = self.n, self.npe
-        b0, a0 = np.divmod(self.r0, n)
-        b1, a1 = np.divmod(self.r1, n)
-        rows = zip(
-            (np.arange(len(self.stage)) % npe).tolist(), self.stage.tolist(),
-            self.rnd.tolist(), b0.tolist(), a0.tolist(), b1.tolist(), a1.tolist(),
-            self.tw.tolist(),
-        )
-        mult = self.op_kind == "mult"
-        recs = [
-            Record(pe, s, r, (x0, y0), (x1, y1), (x0, y0), None if mult else (x1, y1), t)
-            for pe, s, r, x0, y0, x1, y1, t in rows
-        ]
-        return [recs[i:i + npe] for i in range(0, len(recs), npe)]
+    def cycles(self) -> np.ndarray:
+        """Each issue group's row indices, shape (issue_cycles, npe)."""
+        return np.arange(len(self.stage)).reshape(-1, self.npe)
 
 
 def validate_geometry(n_total: int, npe: int) -> int:

@@ -10,7 +10,9 @@ require the two to agree on every column and on every Record.
 from typing import List
 
 from nttsim.layout import LayoutMap, make_layout
-from nttsim.schedule import OP_KINDS, Cell, Record, validate_geometry
+from nttsim.schedule import OP_KINDS, validate_geometry
+
+from timing_oracle import Cell, Record
 
 
 def stage_fullrate_pairs(n_total: int, n: int, s: int):

@@ -185,6 +185,9 @@ class TestRejectedInput:
         (["ntt", "--n", "4194304", "--q-bits", "62"], "N=4194304 exceeds the maximum N=1048576"),
         (["sim", "--n", "4194304", "--npe", "4", "--q-bits", "32", "--op", "polymul"],
          "N=4194304 exceeds the maximum N=1048576"),
+        # so is a channel count above the maximum, before the prime scan
+        (["sim", "--n", "16", "--npe", "2", "--q-bits", "62", "--nq", "16000", "--op", "polymul"],
+         "Nq=16000 exceeds the maximum Nq=64"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)

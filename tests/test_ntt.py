@@ -78,6 +78,16 @@ class TestTwiddles:
             with pytest.raises(ValueError, match="read-only"):
                 table[3] = table[4]
 
+    def test_shared_tables_cannot_change_through_their_bases(self):
+        # the tables view larger arrays; writing a table's own value back
+        # through its base must fail as a write of any other value would
+        tw = ntt.cached_twiddles(ntt_modulus(14, 16), 16)
+        for name in TABLES:
+            base = getattr(tw, name).base
+            if base is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    base[...] = base
+
     def test_rejects_bad_congruence(self):
         # the one home of q = 1 mod 2N: 7 has no 4-point negacyclic transform
         mod = barrett_precompute(7)
@@ -501,26 +511,59 @@ class TestEntryChecks:
             x[-1] = q
         return x
 
-    @pytest.mark.parametrize("case", ["q+3 first", "2q first", "q last"])
-    @pytest.mark.parametrize("bits", [14, 40])
-    @pytest.mark.parametrize("fn", ["ntt", "intt", "pointwise", "polymul"])
-    def test_unreduced_input_rejected(self, fn, bits, case):
-        n = 8
-        mod = ntt_modulus(bits, n)
-        tw = gen_twiddles(mod, n)
-        bad = self.unreduced(mod.q, n, case)
-        zero = np.zeros(n, dtype=np.uint64)
-        calls = {
+    @staticmethod
+    def entry_calls(fn, bad, tw):
+        """Each call of entry point fn with bad as one operand, zeros the other."""
+        mod, zero = tw.mod, np.zeros(tw.n, dtype=np.uint64)
+        return {
             "ntt": [lambda: ntt_ct_array(bad, tw)],
             "intt": [lambda: intt_gs_array(bad, tw)],
             "pointwise": [lambda: ntt.pointwise_mul_array(bad, zero, mod),
                           lambda: ntt.pointwise_mul_array(zero, bad, mod)],
             "polymul": [lambda: polymul_ntt_array(bad, zero, tw),
                         lambda: polymul_ntt_array(zero, bad, tw)],
+            "schoolbook": [lambda: ntt.schoolbook_negacyclic_array(bad, zero, mod),
+                           lambda: ntt.schoolbook_negacyclic_array(zero, bad, mod)],
+            "barrett": [lambda: modarith.barrett_mul_hw_batch(bad, zero, mod),
+                        lambda: modarith.barrett_mul_hw_batch(zero, bad, mod)],
         }[fn]
-        for call in calls:
+
+    @pytest.mark.parametrize("case", ["q+3 first", "2q first", "q last"])
+    @pytest.mark.parametrize("bits", [14, 40])
+    @pytest.mark.parametrize("fn", ["ntt", "intt", "pointwise", "polymul", "schoolbook"])
+    def test_unreduced_input_rejected(self, fn, bits, case):
+        n = 8
+        mod = ntt_modulus(bits, n)
+        tw = gen_twiddles(mod, n)
+        for call in self.entry_calls(fn, self.unreduced(mod.q, n, case), tw):
             with pytest.raises(ValueError, match="not reduced"):
                 call()
+
+    # a cast would turn 1.7 and True into ones, and a negative int into an
+    # OverflowError: each is refused with one ValueError instead
+    @pytest.mark.parametrize("bad,message", [
+        (np.full(16, 1.7), "^operands must be integers$"),
+        ([1.7] * 16, "^operands must be integers$"),
+        (np.ones(16, dtype=bool), "^operands must be integers$"),
+        ([-1] * 16, "^operands not reduced mod 16193$"),
+    ], ids=["float array", "float list", "bool array", "negative"])
+    @pytest.mark.parametrize("fn", ["ntt", "intt", "pointwise", "polymul", "schoolbook",
+                                    "barrett"])
+    def test_non_integers_and_negatives_refused(self, fn, bad, message):
+        mod = ntt_modulus(14, 16)
+        assert mod.q == 16193
+        for call in self.entry_calls(fn, bad, ntt.cached_twiddles(mod, 16)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_one_conversion(self):
+        # a uint64 array passes uncopied; integers of any other kind arrive
+        # as uint64, as gen_twiddles' lists and shoup_precompute's scalar do
+        x = np.arange(16, dtype=np.uint64)
+        assert modarith.check_reduced(x, 17) is x
+        for values in ([3, 16], np.array([3, 16], dtype=np.int8), np.int64(5)):
+            got = modarith.check_reduced(values, 17)
+            assert got.dtype == np.uint64 and got.tolist() == np.asarray(values).tolist()
 
 
 class TestPointwise:
@@ -716,6 +759,15 @@ class TestPolynomialType:
         with pytest.raises(ValueError, match="read-only"):
             p.coeffs[0] = 16198
         assert not poly17([1, 2, 3, 4]).coeffs.flags.writeable
+
+    def test_coefficients_are_a_private_copy(self):
+        # the caller's array stays the caller's: a write through it, or
+        # through any array it views, leaves the checked values as they were
+        base = np.arange(32, dtype=np.uint64)
+        p = Polynomial(base[:16], ntt_modulus(14, 16))
+        base[0] = 16198
+        assert p.coeffs.tolist() == list(range(16))
+        assert p.coeffs.base is None
 
     @pytest.mark.parametrize("value", [1.7, np.float64(2.9), "5"],
                              ids=["float", "numpy float", "str"])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nttsim import modarith
+from nttsim import modarith, rns
 from nttsim.cli import main
 from nttsim.ntt import Polynomial, polymul_ntt
 from nttsim.rns import RnsBasis, RnsPolynomial, decompose, gen_basis, reconstruct, rns_polymul
@@ -50,6 +50,25 @@ class TestBasis:
     def test_empty_basis_rejected(self):
         with pytest.raises(ValueError, match="^at least one modulus is required$"):
             RnsBasis.from_moduli([])
+
+    def test_channel_count_bound(self, monkeypatch):
+        # refused from the count alone, before the prime scan and the CRT
+        # weights, whose cost grows with the square of the count
+        assert rns.MAX_NQ == 64
+        primes = list(itertools.islice(modarith._ntt_primes(30, 16), rns.MAX_NQ + 1))
+        assert gen_basis(30, rns.MAX_NQ, 16).n_q == RnsBasis.from_primes(primes[:-1]).n_q == 64
+        message = "^Nq=65 exceeds the maximum Nq=64$"
+        with pytest.raises(ValueError, match=message):
+            RnsBasis.from_primes(primes)
+
+        def no_scan(*args):
+            raise AssertionError("prime scan before the count check")
+
+        monkeypatch.setattr(rns, "_ntt_primes", no_scan)
+        with pytest.raises(ValueError, match=message):
+            gen_basis(30, rns.MAX_NQ + 1, 16)
+        with pytest.raises(ValueError, match="^Nq=16000 exceeds the maximum Nq=64$"):
+            make_sim_config(16, 2, q_bits=62, n_q=16000)
 
     def test_insufficient_primes(self):
         with pytest.raises(ValueError):

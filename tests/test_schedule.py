@@ -22,6 +22,7 @@ from nttsim.schedule import (
 )
 
 from reference_schedule import reference_cycles
+from timing_oracle import record_groups
 
 
 def coefficient_of(trace, cell):
@@ -86,6 +87,30 @@ class TestBuildValidation:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(trace, name)[0] = 1
 
+    @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
+    def test_column_bases_are_read_only(self, op):
+        # a column may view a larger array, which would otherwise rewrite it
+        trace = build_schedule(16, 2, op)
+        for name in ("stage", "rnd", "r0", "r1", "tw"):
+            base = getattr(trace, name).base
+            assert base is None or not base.flags.writeable, name
+
+
+class TestIssueGroups:
+    """cycles holds each issue group's row indices; the tracer counts a
+    trace's rows as sum(map(len, trace.cycles))."""
+
+    @pytest.mark.parametrize("op", ["ntt", "intt", "mult"])
+    @pytest.mark.parametrize("n_total,npe", [(16, 1), (16, 2), (256, 4), (1024, 16)])
+    def test_rows_by_issue_group(self, n_total, npe, op):
+        trace = build_schedule(n_total, npe, op)
+        cycles = trace.cycles
+        assert cycles.shape == (trace.issue_cycles, npe)
+        for g, rows in enumerate(cycles):
+            assert (rows // npe == g).all()
+        assert cycles.ravel().tolist() == list(range(len(trace.stage)))
+        assert sum(map(len, cycles)) == len(trace.stage)
+
 
 def assert_reference_columns(trace, records):
     """trace's int32 columns equal the reference Records' fields in order."""
@@ -119,7 +144,7 @@ class TestReferenceBuilder:
             want = reference_cycles(n_total, npe, op, layout)
             assert_reference_columns(trace, [rec for group in want for rec in group])
             assert trace.issue_cycles == len(want)
-            assert trace.cycles == want
+            assert record_groups(trace) == want
             npe *= 2
 
     @pytest.mark.parametrize("layout", ["shifted", "sequential"])
@@ -138,7 +163,7 @@ class TestPhaseStructure:
         trace = build_schedule(64, 4, "ntt")
         by_stage = collections.defaultdict(set)
         rounds = collections.defaultdict(set)
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             for rec in cycle:
                 by_stage[rec.stage].add(rec.rnd)
                 i0 = coefficient_of(trace, rec.r0)
@@ -153,7 +178,7 @@ class TestPhaseStructure:
 
     def test_stage_pair_distances(self):
         trace = build_schedule(64, 4, "ntt")
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             for rec in cycle:
                 i0 = coefficient_of(trace, rec.r0)
                 i1 = coefficient_of(trace, rec.r1)
@@ -162,8 +187,8 @@ class TestPhaseStructure:
     def test_intt_reverses_stage_order(self):
         fwd = build_schedule(16, 2, "ntt")
         inv = build_schedule(16, 2, "intt")
-        fwd_stages = [c[0].stage for c in fwd.cycles]
-        inv_stages = [c[0].stage for c in inv.cycles]
+        fwd_stages = [c[0].stage for c in record_groups(fwd)]
+        inv_stages = [c[0].stage for c in record_groups(inv)]
         assert fwd_stages == sorted(fwd_stages)
         assert inv_stages == sorted(inv_stages, reverse=True)
         assert set(inv_stages) == set(fwd_stages)
@@ -171,7 +196,7 @@ class TestPhaseStructure:
     def test_phase1_reads_whole_rows(self):
         # phase-1 stages read one address row per full-rate cycle
         trace = build_schedule(64, 4, "ntt")  # full rate: Npe = n/2
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             stage = cycle[0].stage
             if stage < 3:
                 continue
@@ -186,7 +211,7 @@ class TestTraceAudit:
         trace = build_schedule(n_total, npe, "ntt")
         per_stage_reads = collections.defaultdict(list)
         butterflies = 0
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             # single read port and single write port per bank
             read_banks = [rec.r0[0] for rec in cycle] + [rec.r1[0] for rec in cycle]
             assert len(read_banks) == len(set(read_banks))
@@ -210,17 +235,17 @@ class TestTraceAudit:
         for n_total, npe in [(16, 1), (16, 2), (64, 4), (256, 2), (1024, 16), (4096, 32)]:
             k = n_total.bit_length() - 1
             trace = build_schedule(n_total, npe, "ntt")
-            assert len(trace.cycles) == n_total * k // (2 * npe)
+            assert len(record_groups(trace)) == n_total * k // (2 * npe)
 
     def test_n4096_npe32_stage_cost(self):
         trace = build_schedule(4096, 32, "ntt")
-        per_stage = collections.Counter(c[0].stage for c in trace.cycles)
+        per_stage = collections.Counter(c[0].stage for c in record_groups(trace))
         assert all(v == 64 for v in per_stage.values())
-        assert len(trace.cycles) == 768
+        assert len(record_groups(trace)) == 768
 
     def test_pe_assignment_dense(self):
         trace = build_schedule(64, 4, "ntt")
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             assert [rec.pe for rec in cycle] == list(range(4))
 
     @pytest.mark.parametrize("op", ["ntt", "intt"])
@@ -228,13 +253,13 @@ class TestTraceAudit:
         # the trace contains exactly the butterfly accesses, nothing
         # else: no stage moves data anywhere but back into its own cells
         trace = build_schedule(64, 4, op)
-        records = [rec for cycle in trace.cycles for rec in cycle]
+        records = [rec for cycle in record_groups(trace) for rec in cycle]
         assert len(records) == 64 // 2 * 6
         assert all(rec.w0 == rec.r0 and rec.w1 == rec.r1 for rec in records)
 
     def test_twiddle_index_tracks_block(self):
         trace = build_schedule(64, 4, "ntt")
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             for rec in cycle:
                 assert rec.tw == (1 << rec.stage) + rec.rnd
 
@@ -243,7 +268,7 @@ class TestMultTrace:
     def test_element_pairing(self):
         trace = build_schedule(16, 2, "mult")
         seen = []
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             for rec in cycle:
                 assert rec.r0 == rec.r1  # same cell in the a and b arrays
                 assert rec.w0 == rec.r0
@@ -254,13 +279,13 @@ class TestMultTrace:
 
     def test_cycle_count(self):
         trace = build_schedule(4096, 1, "mult")
-        assert len(trace.cycles) == 4096
+        assert len(record_groups(trace)) == 4096
         stats = trace_stats(trace)
         assert stats.issue_cycles == 4096
 
     def test_row_bank_uniqueness(self):
         trace = build_schedule(64, 4, "mult")
-        for cycle in trace.cycles:
+        for cycle in record_groups(trace):
             banks = [rec.r0[0] for rec in cycle]
             assert len(banks) == len(set(banks))
 

@@ -1,8 +1,10 @@
 """Cycle-stepped timing oracle for the simulator's timing contract.
 
-It reads nothing but the Record view of a ScheduleTrace (trace.cycles)
-and a PipelineConfig's delays, and shares no code with nttsim.sim, so the simulator's single
-timing walk is checked against a second, differently built model:
+It reads nothing of nttsim but a ScheduleTrace's columns and a
+PipelineConfig's delays. record_groups turns the columns into issue
+groups of Records, one Python object per butterfly, and the oracle steps
+through those; it shares no code with nttsim.sim, so the simulator's
+single timing walk is checked against a second, differently built model:
 
 - a clock advances one cycle at a time;
 - every issued group pushes its writes onto a FIFO of in-flight writes,
@@ -25,6 +27,42 @@ cycles.
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+Cell = Tuple[int, int]  # (bank, address)
+
+
+class Record(NamedTuple):
+    """One butterfly (or one modular multiply) issued in one cycle."""
+
+    pe: int
+    stage: int
+    rnd: int
+    r0: Cell
+    r1: Cell
+    w0: Cell
+    w1: Optional[Cell]
+    tw: int
+
+
+def record_groups(trace) -> List[List[Record]]:
+    """The trace as issue groups of Records, from its columns alone."""
+    n, npe = trace.n, trace.npe
+    b0, a0 = np.divmod(trace.r0, n)
+    b1, a1 = np.divmod(trace.r1, n)
+    rows = zip(
+        (np.arange(len(trace.stage)) % npe).tolist(), trace.stage.tolist(),
+        trace.rnd.tolist(), b0.tolist(), a0.tolist(), b1.tolist(), a1.tolist(),
+        trace.tw.tolist(),
+    )
+    mult = trace.op_kind == "mult"
+    recs = [
+        Record(pe, s, r, (x0, y0), (x1, y1), (x0, y0), None if mult else (x1, y1), t)
+        for pe, s, r, x0, y0, x1, y1, t in rows
+    ]
+    return [recs[i:i + npe] for i in range(0, len(recs), npe)]
 
 
 @dataclass
@@ -63,7 +101,7 @@ def oracle_timing(trace, pipeline) -> OracleTiming:
         while in_flight and in_flight[0][0] < clock:
             pending.subtract(in_flight.popleft()[1])
 
-    for group in trace.cycles:
+    for group in record_groups(trace):
         reads, writes = _ports(trace.op_kind, group)
         attempt = clock
         blocked = [i for i, cell in enumerate(reads) if pending[cell]]
