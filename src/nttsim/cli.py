@@ -44,7 +44,7 @@ from nttsim.ntt import (
     read_polynomial,
     write_polynomial,
 )
-from nttsim.rns import RnsBasis, RnsPolynomial, decompose, gen_basis
+from nttsim.rns import RnsBasis, RnsPolynomial, _check_count, decompose, gen_basis
 from nttsim.schedule import PROFILES, PipelineConfig, build_schedule, export_csv
 from nttsim.sim import (
     HAZARD_POLICIES,
@@ -135,7 +135,9 @@ def _operands(opts: Options, settle: Callable[[int, Sequence[Modulus]], object])
     if opts.q is not None:
         if opts.q_bits is not None or opts.nq != 1:
             raise ValueError("--q lists the moduli; it takes no --q-bits or --nq")
-        moduli = [barrett_precompute(int(x)) for x in opts.q.split(",")]
+        entries = opts.q.split(",")
+        _check_count(len(entries))  # before one primality test per entry
+        moduli = [barrett_precompute(int(x)) for x in entries]
     elif opts.q_bits is not None:
         moduli = gen_basis(opts.q_bits, opts.nq, n).moduli
     elif fixed is not None:

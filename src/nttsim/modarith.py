@@ -329,13 +329,17 @@ def _run_blocks(share, count: int, block: int) -> None:
 def check_reduced(values, q: int) -> np.ndarray:
     """values as a uint64 array, once checked to be integers in [0, q): the
     array itself when it is one already. A float or bool is refused, not
-    truncated, and a negative value is refused, not wrapped."""
+    truncated, and a negative value is refused, not wrapped; so is an int
+    beyond 64 bits, as unreduced."""
     values = np.asarray(values)
-    if values.dtype.kind not in "iu":
+    kind = values.dtype.kind
+    # numpy keeps ints outside the int64 and uint64 ranges as Python ints
+    wide = kind == "O" and all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values.flat
+    )
+    if kind not in "iu" and not wide:
         raise ValueError("operands must be integers")
-    if values.size and (
-        values.dtype.kind == "i" and values.min() < 0 or int(values.max()) >= q
-    ):
+    if values.size and (kind != "u" and values.min() < 0 or int(values.max()) >= q):
         raise ValueError(f"operands not reduced mod {q}")
     return values.astype(np.uint64, copy=False)
 

@@ -39,14 +39,18 @@ maximum per stage; a stall-free trace has no late read at all.
 
 run() walks each distinct trace's timing once, whatever the number of
 RNS channels: polymul's two forward transforms share one trace, so they
-share one report. Its numerics do not depend on timing, because the
-machine stalls rather than read a stale value: each stage gathers the
-cells and twiddle indices in the trace's own columns, applies one batch
-butterfly per channel and scatters the results back. The replay
-multiplies twiddles with the hardware Barrett kernel the modelled
-butterfly units run; the reference transforms share the butterfly's
-add/sub body but multiply by Shoup's method on their own precomputed
-tables, so the ntt and intt checks are independent in the multiply.
+share one report. It also replays each distinct trace in one pass over
+its stages. The numerics do not depend on timing, because the machine
+stalls rather than read a stale value: per stage, the trace's int32
+cell and twiddle columns are converted to intp indices once, and every
+memory that runs the trace (every RNS channel, and in polymul both a's
+and b's) gathers with them, applies one batch butterfly and scatters
+the results back. The replay multiplies twiddles with the hardware
+Barrett kernel the modelled butterfly units run, and memories of one
+modulus share the stage's gathered twiddles; the reference transforms
+share the butterfly's add/sub body but multiply by Shoup's method on
+their own precomputed tables, so the ntt and intt checks are
+independent in the multiply.
 The mult step's reference and replay both run pointwise_mul_array, the
 same hardware Barrett kernel, so its check covers only the gather and
 scatter; the exhaustive modarith tests cover that kernel. run() refuses to
@@ -54,6 +58,7 @@ return a result that disagrees with the reference transform: such a
 mismatch is a simulator bug, never expected to fire.
 """
 
+import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -174,10 +179,10 @@ def _port_runs(keys: np.ndarray):
     """
     ordered = np.sort(keys, axis=1)
     same = ordered[:, 1:] == ordered[:, :-1]
-    extra = same.sum(axis=1)
-    if not extra.any():
+    if not same.any():
         empty = np.zeros(0, dtype=np.int64)
-        return extra, (empty, empty, empty)
+        return np.zeros(len(keys), dtype=np.int64), (empty, empty, empty)
+    extra = same.sum(axis=1)
     edges = np.diff(np.pad(same, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     group, start = np.nonzero(edges == 1)
     _group, end = np.nonzero(edges == -1)
@@ -504,22 +509,33 @@ class SimReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def _replay_numerics(kind, stages, mem, other, mod: Modulus) -> None:
-    """Apply one op's butterflies (or products) stage by stage, in place."""
-    if kind == "mult":
-        for r0, r1, _tw in stages:
-            mem[r0] = pointwise_mul_array(mem[r0], other[r1], mod)
+def _replay_numerics(trace: ScheduleTrace, memories) -> None:
+    """Apply the trace's butterflies (or products) in place to every memory
+    in memories, (mem, other, mod) triples with other the mult step's
+    operand b, in one pass over the stages: each stage's columns are cast
+    to intp once, every memory gathers and scatters with those indices,
+    and memories of one modulus share its gathered twiddles."""
+    stages = [rows for _stage, rows in trace.stage_slices()]
+    if trace.op_kind == "mult":
+        for rows in stages:
+            r0, r1 = trace.r0[rows].astype(np.intp), trace.r1[rows].astype(np.intp)
+            for mem, other, mod in memories:
+                mem[r0] = pointwise_mul_array(mem[r0], other[r1], mod)
         return
-    tw = cached_twiddles(mod, len(mem))
-    if kind == "ntt":
-        butterfly, mul, table = ct_stage, barrett_mul_hw_into, tw.forward
+    if trace.op_kind == "ntt":
+        butterfly, mul, table = ct_stage, barrett_mul_hw_into, "forward"
     else:
-        butterfly, mul, table = gs_stage, _barrett_half_into, tw.inverse
-    scratch = np.empty((2, len(mem) // 2), np.uint64)
-    for r0, r1, w in stages:
-        u, v = mem[r0], mem[r1]
-        butterfly(u, v, mul, (table[w],), mod, *scratch[:, :len(r0)])
-        mem[r0], mem[r1] = u, v
+        butterfly, mul, table = gs_stage, _barrett_half_into, "inverse"
+    tables = {mod.q: getattr(cached_twiddles(mod, trace.N), table) for *_, mod in memories}
+    scratch = np.empty((2, trace.N // 2), np.uint64)
+    for rows in stages:
+        r0, r1, w = (column[rows].astype(np.intp) for column in (trace.r0, trace.r1, trace.tw))
+        s1, s2 = scratch[:, :len(r0)]
+        twiddles = {q: table[w] for q, table in tables.items()}
+        for mem, _other, mod in memories:
+            u, v = mem[r0], mem[r1]
+            butterfly(u, v, mul, (twiddles[mod.q],), mod, s1, s2)
+            mem[r0], mem[r1] = u, v
 
 
 def _barrett_half_into(x, w, mod: Modulus, out, tmp) -> None:
@@ -568,12 +584,14 @@ def run(
     """Time, replay and verify one op, step by step as OP_STEPS lists it.
 
     Only a mult step reads b; an op without one refuses b rather than
-    ignore it. detect_hazards times each distinct trace once for all RNS
-    channels, so polymul's two forward transforms append the same report;
-    under fail-fast its first event is raised. Each channel then replays
-    the trace's numerics in its own banked memory, and every op's output
-    must equal the reference transform of the input it read from that
-    memory, stalls or not.
+    ignore it. Consecutive steps of one kind share a trace: detect_hazards
+    times it once for all RNS channels, so polymul's two forward
+    transforms append the same report, and under fail-fast its first
+    event is raised before any replay. Each channel has its own banked
+    memory per operand, and one _replay_numerics pass runs the trace on
+    all of them. Every step's output must equal, per memory, the
+    reference transform of the input it read from that memory, stalls or
+    not; the first mismatch named is a's channels in order, then b's.
     """
     sequence = op_steps(op)
     a_chan = _channels(a, config.moduli, config.N, "a")
@@ -589,35 +607,35 @@ def run(
     mem_b = [coeffs[held] for coeffs in b_chan or []]
 
     reports: List[HazardReport] = []
-    trace = None
-    for step, kind in enumerate(sequence):
-        if trace is None or trace.op_kind != kind:
-            trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
-            stages = [
-                (trace.r0[rows], trace.r1[rows], trace.tw[rows])
-                for _stage, rows in trace.stage_slices()
-            ]
-            # chained ops start only after the previous one fully retires,
-            # so equal traces time equally
-            timing = detect_hazards(
-                trace, config.pipeline, config.setup_cycles, config.hazard_policy
-            )
-            if config.hazard_policy == "fail-fast" and timing.events:
-                raise SimHazardError(timing.events[0])
-        # in the polymul sequence the second forward transform runs on b
-        target = mem_b if op == "polymul" and step == 1 else mem_a
-        for ch, mod in enumerate(config.moduli):
-            mem = target[ch]
-            other = mem_b[ch] if kind == "mult" else None
-            expect = _reference(
-                kind, mod, mem[cells], None if other is None else other[cells]
-            )
-            _replay_numerics(kind, stages, mem, other, mod)
-            if not np.array_equal(mem[cells], expect):
+    for kind, steps in itertools.groupby(range(len(sequence)), key=sequence.__getitem__):
+        steps = list(steps)
+        trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
+        # chained ops start only after the previous one fully retires, so
+        # equal traces time equally
+        timing = detect_hazards(
+            trace, config.pipeline, config.setup_cycles, config.hazard_policy
+        )
+        if config.hazard_policy == "fail-fast" and timing.events:
+            raise SimHazardError(timing.events[0])
+        # (mem, other, mod) per memory that runs the trace: a's channels,
+        # then, in polymul's second forward transform, b's
+        memories = [
+            ((mem_b if op == "polymul" and step == 1 else mem_a)[ch],
+             mem_b[ch] if kind == "mult" else None, mod)
+            for step in steps
+            for ch, mod in enumerate(config.moduli)
+        ]
+        expect = [
+            _reference(kind, mod, mem[cells], None if other is None else other[cells])
+            for mem, other, mod in memories
+        ]
+        _replay_numerics(trace, memories)
+        for (mem, _other, mod), want in zip(memories, expect):
+            if not np.array_equal(mem[cells], want):
                 raise SimMismatchError(
-                    f"{kind} result mismatch on channel {ch} (q={mod.q})"
+                    f"{kind} result mismatch on channel {config.moduli.index(mod)} (q={mod.q})"
                 )
-        reports.append(timing)
+        reports += [timing] * len(steps)
 
     try:
         predicted = predicted_cycles(

@@ -188,6 +188,9 @@ class TestRejectedInput:
         # so is a channel count above the maximum, before the prime scan
         (["sim", "--n", "16", "--npe", "2", "--q-bits", "62", "--nq", "16000", "--op", "polymul"],
          "Nq=16000 exceeds the maximum Nq=64"),
+        # and so is an over-long --q list, before any entry's primality test
+        (["sim", "--n", "16", "--npe", "2", "--q", ",".join(["15"] + ["97"] * 64)],
+         "Nq=65 exceeds the maximum Nq=64"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)

@@ -565,6 +565,22 @@ class TestEntryChecks:
             got = modarith.check_reduced(values, 17)
             assert got.dtype == np.uint64 and got.tolist() == np.asarray(values).tolist()
 
+    @pytest.mark.parametrize("values", [[2**64] * 4, [-2**63 - 1] * 4, [3, 2**70]])
+    def test_ints_beyond_a_word_are_unreduced(self, values):
+        # numpy keeps these as Python ints in an object array
+        assert np.asarray(values).dtype == object
+        with pytest.raises(ValueError, match="^operands not reduced mod 17$"):
+            modarith.check_reduced(values, 17)
+
+    def test_object_arrays(self):
+        # an object array of reduced ints converts; one holding a float or
+        # bool beside a wide int is refused as any float or bool is
+        got = modarith.check_reduced(np.array([3, 16], dtype=object), 17)
+        assert got.dtype == np.uint64 and got.tolist() == [3, 16]
+        for values in ([2**64, 1.5], [2**64, True]):
+            with pytest.raises(ValueError, match="^operands must be integers$"):
+                modarith.check_reduced(values, 17)
+
 
 class TestPointwise:
     def test_identity_vector(self):

@@ -30,7 +30,7 @@ from nttsim.ntt import (
     polymul_ntt_array,
     schoolbook_negacyclic_array,
 )
-from nttsim.rns import decompose, gen_basis, reconstruct, rns_polymul
+from nttsim.rns import RnsPolynomial, decompose, gen_basis, reconstruct, rns_polymul
 from nttsim.schedule import (
     PROFILES,
     PipelineConfig,
@@ -490,6 +490,55 @@ class TestRunProperties:
         assert 0 < report.utilization <= 1
 
 
+def random_operand(cfg, seed, zero=()):
+    """One random residue polynomial per channel of cfg, all zeros on the
+    channels in zero; an RnsPolynomial when cfg has more than one."""
+    gen = np.random.default_rng(seed)
+    polys = tuple(
+        Polynomial(np.zeros(cfg.N, np.uint64) if ch in zero
+                   else gen.integers(0, mod.q, size=cfg.N, dtype=np.uint64), mod)
+        for ch, mod in enumerate(cfg.moduli)
+    )
+    return polys[0] if len(polys) == 1 else RnsPolynomial(polys)
+
+
+class TestRunDigest:
+    """Every run() result and JSON report over a fixed grid, pinned byte
+    for byte: N 16-1024, both layouts, 1-3 channels at 14, 32, 40 and 62
+    bits, ntt, intt, mult and polymul; then a polymul config that stalls
+    and, under fail-fast, the event each op raises. 376 runs."""
+
+    DIGEST = "80bb15d3d852672bda5b9addfd42ad20489c27da889939bffac6cca6d8dc5ade"
+
+    def test_runs_pinned(self):
+        configs = []
+        for n_total in (16, 64, 256, 1024):
+            n = 1 << ((n_total.bit_length() - 1) // 2)
+            for layout in ("shifted", "sequential"):
+                for bits in (14, 32, 40, 62):
+                    # 12289 is the only 14-bit prime that is 1 mod 2048
+                    for n_q in (1,) if (bits, n_total) == (14, 1024) else (1, 2, 3):
+                        configs.append(make_sim_config(
+                            n_total, max(1, n // 4), q_bits=bits, n_q=n_q, profile="q14",
+                            setup_cycles=2, layout_kind=layout))
+        # N=256, Npe=4 stalls under q32 (delay 19, bound 16)
+        configs.append(make_sim_config(256, 4, q_bits=32, n_q=2, profile="q32", setup_cycles=3))
+        configs.append(make_sim_config(256, 4, q_bits=32, n_q=2, profile="q32",
+                                       hazard_policy="fail-fast"))
+        digest = hashlib.sha256()
+        for seed, cfg in enumerate(configs):
+            a, b = random_operand(cfg, 2 * seed), random_operand(cfg, 2 * seed + 1)
+            for op in ("ntt", "intt", "mult", "polymul"):
+                try:
+                    report = run(cfg, a, b if op in ("mult", "polymul") else None, op=op)
+                except SimHazardError as err:
+                    digest.update(repr(err.event).encode())
+                    continue
+                digest.update(repr(report.results).encode())
+                digest.update(report.to_json().encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestMismatchCheck:
     """A trace whose cells or twiddles are wrong must fail the reference
     check, so the replay provably follows the trace's own records."""
@@ -541,6 +590,40 @@ class TestMismatchCheck:
             monkeypatch.setattr(module, "barrett_mul_hw_into", perturbed, raising=False)
         with pytest.raises(SimMismatchError):
             run(cfg, a, op=op)
+
+    # (op, channels perturbed, channels of a held at zero, channel named):
+    # a zero operand's transform multiplies only zeros, so with a all zeros
+    # polymul's only perturbed products are b's forward transform; with two
+    # failing channels, a's come first, in channel order, then b's
+    CHANNEL_CASES = [
+        ("ntt", {0}, (), 0), ("ntt", {1}, (), 1), ("intt", {2}, (), 2),
+        ("polymul", {1}, (), 1),
+        ("polymul", {0}, (0, 1, 2), 0), ("polymul", {2}, (0, 1, 2), 2),
+        ("ntt", {1, 2}, (), 1), ("polymul", {0, 2}, (0, 1, 2), 0),
+        ("polymul", {0, 2}, (0, 1), 2),
+    ]
+
+    @pytest.mark.parametrize("op,perturb,zero,named", CHANNEL_CASES)
+    def test_mismatch_names_the_channel(self, monkeypatch, op, perturb, zero, named):
+        cfg = make_sim_config(64, 4, q_bits=32, n_q=3, profile="q32")
+        qs = [mod.q for mod in cfg.moduli]
+        a = random_operand(cfg, 31, zero)
+        b = random_operand(cfg, 32) if op == "polymul" else None
+        run(cfg, a, b, op=op)
+        real = modarith.barrett_mul_hw_into
+
+        # add 1 mod q to element 0 of every replay Barrett product on a
+        # perturbed channel whose operand is not all zeros
+        def perturbed(x, w, mod, out, tmp):
+            real(x, w, mod, out, tmp)
+            if mod.q in {qs[ch] for ch in perturb} and x.any():
+                out.flat[0] = (int(out.flat[0]) + 1) % mod.q
+
+        monkeypatch.setattr(sim, "barrett_mul_hw_into", perturbed)
+        kind = "intt" if op == "intt" else "ntt"
+        message = f"{kind} result mismatch on channel {named} (q={qs[named]})"
+        with pytest.raises(SimMismatchError, match=f"^{re.escape(message)}$"):
+            run(cfg, a, b, op=op)
 
     def test_cli_exits_3(self, monkeypatch, capsys):
         argv = ["sim", "--n", "64", "--npe", "4", "--q-bits", "14", "--op", "polymul"]
