@@ -183,6 +183,12 @@ def _cmd_reference(opts: Options) -> int:
 def _cmd_predict(opts: Options) -> int:
     if opts.n is None or opts.npe is None:
         raise ValueError("predict requires --n and --npe")
+    if opts.layout != "shifted":
+        # the closed form counts the shifted schedule; the sequential
+        # layout's bank conflicts and stalls are not in it, so only sim
+        # counts that layout's cycles
+        raise ValueError(f"predict has no closed form for the {opts.layout} layout; "
+                         "sim counts its cycles")
     pipe, _name = _pipeline(opts)
     cycles = predicted_cycles(opts.n, opts.npe, pipe, opts.setup_cycles, opts.op)
     _write_output(f"{cycles}\n", opts.output)

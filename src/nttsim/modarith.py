@@ -250,7 +250,8 @@ def find_primitive_root(q: int) -> int:
 def _ntt_primes(bits: int, n: int):
     """The primes below 2^bits congruent to 1 mod 2N, largest first, by one
     downward scan in steps of 2N. The arguments are checked at the first
-    draw, and a draw past the last prime raises."""
+    draw, and the chain ends at its last prime: a caller that needs more
+    refuses with _short_chain's message."""
     if bits > 62:
         raise ValueError("bits must be <= 62")
     if bits < 0:
@@ -261,19 +262,26 @@ def _ntt_primes(bits: int, n: int):
     if two_n >= 1 << bits:
         raise ValueError(f"2N={two_n} does not fit below 2^{bits}")
     candidate = ((1 << bits) - 2) // two_n * two_n + 1
-    seen = 0
     while candidate > two_n:
         if is_prime(candidate):
             yield candidate
-            seen += 1
         candidate -= two_n
-    raise ValueError(f"no prime #{seen} below 2^{bits} congruent to 1 mod {two_n}")
+
+
+def _short_chain(found: int, wanted: int, bits: int, n: int) -> ValueError:
+    """The refusal of a request for wanted primes from a chain of found."""
+    congruent = f"below 2^{bits} {'is' if found < 2 else 'are'} congruent to 1 mod {2 * n}"
+    text = f"only {found} prime{'s' * (found > 1)} {congruent}" if found else f"no prime {congruent}"
+    return ValueError(text + (f"; {wanted} were asked for" if wanted > 1 else ""))
 
 
 def find_ntt_prime(bits: int, n: int) -> int:
     """The largest prime below 2^bits congruent to 1 mod 2N: the first of
     the one prime chain that gen_basis walks."""
-    return next(_ntt_primes(bits, n))
+    q = next(_ntt_primes(bits, n), None)
+    if q is None:
+        raise _short_chain(0, 1, bits, n)
+    return q
 
 
 def ntt_modulus(bits: int, n: int) -> Modulus:

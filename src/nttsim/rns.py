@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from nttsim.modarith import Modulus, _ntt_primes, barrett_precompute
+from nttsim.modarith import Modulus, _ntt_primes, _short_chain, barrett_precompute
 from nttsim.ntt import Polynomial, _as_ints, _check_power_of_two, polymul_ntt
 
 
@@ -94,7 +94,9 @@ def gen_basis(word_bits: int, n_q: int, n: int) -> RnsBasis:
     drawn from one scan of the candidates: the one prime chain, which the
     simulator config and the CLI also use."""
     _check_count(n_q)
-    primes = itertools.islice(_ntt_primes(word_bits, n), n_q)
+    primes = list(itertools.islice(_ntt_primes(word_bits, n), n_q))
+    if len(primes) < n_q:
+        raise _short_chain(len(primes), n_q, word_bits, n)
     moduli = [barrett_precompute(q) for q in primes]
     return RnsBasis.from_moduli(moduli)
 

@@ -6,8 +6,8 @@ logical column per cycle touches every bank exactly once because of the
 shifted placement, and each round is exactly one radix-2 block.
 Past stage log2(N)/2 the pairs fall inside single rows, so the stages
 read row by row. The inverse transform replays the same stages in
-reverse order. Every butterfly writes its outputs back to the cells it
-read.
+reverse order (inverse_trace, the one definition of that order). Every
+butterfly writes its outputs back to the cells it read.
 
 At full rate (Npe = n/2) one cycle consumes n coefficients from n
 distinct banks. With fewer butterfly units each full-rate cycle splits
@@ -21,6 +21,7 @@ when its total depth is strictly below that.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import IO, List, Tuple
 
 import numpy as np
@@ -112,14 +113,15 @@ class ScheduleTrace:
     def issue_cycles(self) -> int:
         return len(self.stage) // self.npe
 
-    def stage_slices(self) -> List[Tuple[int, slice]]:
+    @cached_property
+    def stage_slices(self) -> Tuple[Tuple[int, slice], ...]:
         """(stage, rows) for each stage in trace order; a stage's rows are
-        contiguous and fill whole issue groups."""
+        contiguous and fill whole issue groups. Computed once per trace."""
         starts = ((np.flatnonzero(np.diff(self.stage[::self.npe])) + 1) * self.npe).tolist()
         edges = [0, *starts, len(self.stage)]
-        return [
+        return tuple(
             (int(self.stage[lo]), slice(lo, hi)) for lo, hi in zip(edges, edges[1:])
-        ]
+        )
 
     @property
     def cycles(self) -> np.ndarray:
@@ -151,9 +153,10 @@ def build_schedule(
       bits) and a (h-s-1 bits), and i0 = r<<(k-s) | a<<h | j<<(h-s) | t'.
 
     Any contiguous slice of Npe pairs then reads 2*Npe distinct banks. The
-    inverse transform runs the same stages in reverse order.
+    intt trace is inverse_trace of the ntt trace.
     """
-    check_op_kind(op_kind)
+    if check_op_kind(op_kind) == "intt":
+        return inverse_trace(build_schedule(n_total, npe, "ntt", layout_kind))
     n = validate_geometry(n_total, npe)
     cells = make_layout(n_total, layout_kind).cells
     k = n_total.bit_length() - 1
@@ -175,10 +178,23 @@ def build_schedule(
         i1 = i0 + (1 << t)
         tw = rnd + (1 << s)
         stage = np.broadcast_to(s, rnd.shape)
-        if op_kind == "intt":
-            stage, rnd, i0, i1, tw = (column[::-1] for column in (stage, rnd, i0, i1, tw))
     columns = (column.ravel() for column in (stage, rnd, cells(i0), cells(i1), tw))
     return ScheduleTrace(op_kind, n_total, n, npe, layout_kind, *columns)
+
+
+def inverse_trace(forward: ScheduleTrace) -> ScheduleTrace:
+    """The intt trace of a forward (ntt) trace: its stage blocks in reverse
+    order, the rows within each stage in their own order. Reversing whole
+    columns instead would give the same numbers and stall-free totals but
+    a different stall timing."""
+    if forward.op_kind != "ntt":
+        raise ValueError(f"inverse_trace takes an ntt trace, got {forward.op_kind!r}")
+    k = forward.N.bit_length() - 1
+    columns = (
+        column.reshape(k, forward.N // 2)[::-1].ravel()
+        for column in (forward.stage, forward.rnd, forward.r0, forward.r1, forward.tw)
+    )
+    return ScheduleTrace("intt", forward.N, forward.n, forward.npe, forward.layout_kind, *columns)
 
 
 @dataclass(frozen=True)
@@ -234,7 +250,7 @@ class ScheduleStats:
 
 def trace_stats(trace: ScheduleTrace) -> ScheduleStats:
     n = trace.n
-    slices = trace.stage_slices()
+    slices = trace.stage_slices
     read_banks = np.bincount(trace.r0 // n, minlength=n) + np.bincount(
         trace.r1 // n, minlength=n
     )

@@ -37,10 +37,11 @@ a max-plus recurrence over those reads. A built schedule's producers lie
 in earlier stages, so the same walk solves it as it goes, one running
 maximum per stage; a stall-free trace has no late read at all.
 
-run() walks each distinct trace's timing once, whatever the number of
-RNS channels: polymul's two forward transforms share one trace, so they
-share one report. It also replays each distinct trace in one pass over
-its stages. The numerics do not depend on timing, because the machine
+run() builds each distinct trace once and walks its timing once, whatever
+the number of RNS channels: polymul's two forward transforms share one
+trace, so they share one report, and its intt trace is inverse_trace of
+that forward trace, not a second build. It also replays each distinct
+trace in one pass over its stages. The numerics do not depend on timing, because the machine
 stalls rather than read a stale value: per stage, the trace's int32
 cell and twiddle columns are converted to intp indices once, and every
 memory that runs the trace (every RNS channel, and in polymul both a's
@@ -50,7 +51,13 @@ Barrett kernel the modelled butterfly units run, and memories of one
 modulus share the stage's gathered twiddles; the reference transforms
 share the butterfly's add/sub body but multiply by Shoup's method on
 their own precomputed tables, so the ntt and intt checks are
-independent in the multiply.
+independent in the multiply. Each step checks every memory of one
+channel with one reference call on the (rows, N) stack of their inputs:
+polymul's forward step transforms a channel's a and b together. Moduli
+are never stacked together. At N >= 2^16 a two-row stack spans two
+cache blocks, and the reference transform shares it over the CPUs on
+threads that end with the call, as it does any batch; below that, run()
+starts no thread.
 The mult step's reference and replay both run pointwise_mul_array, the
 same hardware Barrett kernel, so its check covers only the gather and
 scatter; the exhaustive modarith tests cover that kernel. run() refuses to
@@ -84,6 +91,7 @@ from nttsim.schedule import (
     ScheduleTrace,
     build_schedule,
     check_raw_bound,
+    inverse_trace,
     validate_geometry,
 )
 
@@ -215,9 +223,10 @@ def detect_hazards(
         writes = r0
     else:
         reads = writes = np.hstack([r0, trace.r1.reshape(groups, npe)])
-    read_extra, read_runs = _port_runs(reads // n)
+    bank_shift = n.bit_length() - 1  # a cell's bank is cell // n
+    read_extra, read_runs = _port_runs(reads >> bank_shift)
     write_extra, write_runs = (
-        (read_extra, read_runs) if writes is reads else _port_runs(writes // n)
+        (read_extra, read_runs) if writes is reads else _port_runs(writes >> bank_shift)
     )
     cost = 1 + read_extra + write_extra
     issue = np.cumsum(cost) - cost + setup_cycles  # stall-free issue cycles
@@ -296,7 +305,7 @@ def _late_reads(trace: ScheduleTrace, reads, writes, issue, retire):
     last = np.full(2 * trace.N, -1)  # memory b, cells N to 2N, is never written
     shift = np.zeros(groups + 1, dtype=np.int64)  # shift[-1] = 0 comes before group 0
     found = [np.zeros((3, 0), dtype=np.int64)]
-    for _stage, rows in trace.stage_slices():
+    for _stage, rows in trace.stage_slices:
         lo, hi = rows.start // trace.npe, rows.stop // trace.npe
         twice = np.bincount(reads[lo:hi].ravel()).max() > 1
         runs = [(g, g + 1) for g in range(lo, hi)] if twice else [(lo, hi)]
@@ -320,7 +329,7 @@ def _late_reads(trace: ScheduleTrace, reads, writes, issue, retire):
 def _per_stage(trace: ScheduleTrace, cost: np.ndarray) -> dict:
     """Issue cycles each stage's groups take, for the groups in cost."""
     per_stage = {}
-    for stage, rows in trace.stage_slices():
+    for stage, rows in trace.stage_slices:
         first = rows.start // trace.npe
         if first >= len(cost):
             break
@@ -333,6 +342,8 @@ def _events(read_cells, ports, n, issue, raw, read_runs, write_runs) -> List[Haz
     group; within one, RAW in port order, then read and write conflicts
     in (array, bank) order."""
     raw_reads, raw_cycles, raw_waits = raw
+    if not (len(raw_reads) or len(read_runs[0]) or len(write_runs[0])):
+        return []
     cells = read_cells[raw_reads]
     parts = [(raw_reads // ports, raw_cycles, cells // n, cells % n, raw_waits)]
     for group, key, extra in (read_runs, write_runs):
@@ -344,7 +355,7 @@ def _events(read_cells, ports, n, issue, raw, read_runs, write_runs) -> List[Haz
     ], axis=1)
     order = np.argsort(table[1] * len(HAZARD_KINDS) + table[0], kind="stable")
     kinds, _groups, *fields = table[:, order].tolist()
-    return list(map(HazardEvent, [HAZARD_KINDS[kind] for kind in kinds], *fields))
+    return list(map(HazardEvent._make, zip([HAZARD_KINDS[kind] for kind in kinds], *fields)))
 
 
 @dataclass(frozen=True)
@@ -515,7 +526,7 @@ def _replay_numerics(trace: ScheduleTrace, memories) -> None:
     operand b, in one pass over the stages: each stage's columns are cast
     to intp once, every memory gathers and scatters with those indices,
     and memories of one modulus share its gathered twiddles."""
-    stages = [rows for _stage, rows in trace.stage_slices()]
+    stages = [rows for _stage, rows in trace.stage_slices]
     if trace.op_kind == "mult":
         for rows in stages:
             r0, r1 = trace.r0[rows].astype(np.intp), trace.r1[rows].astype(np.intp)
@@ -546,7 +557,9 @@ def _barrett_half_into(x, w, mod: Modulus, out, tmp) -> None:
 
 
 def _reference(op_kind, mod, a_coeffs, b_coeffs):
-    tw = cached_twiddles(mod, len(a_coeffs))
+    """The reference result of one step over the last axis of a_coeffs (and
+    of b_coeffs for a mult), a stack of polynomials of modulus mod."""
+    tw = cached_twiddles(mod, a_coeffs.shape[-1])
     if op_kind == "ntt":
         return ntt_ct_array(a_coeffs, tw)
     if op_kind == "intt":
@@ -589,9 +602,13 @@ def run(
     transforms append the same report, and under fail-fast its first
     event is raised before any replay. Each channel has its own banked
     memory per operand, and one _replay_numerics pass runs the trace on
-    all of them. Every step's output must equal, per memory, the
-    reference transform of the input it read from that memory, stalls or
-    not; the first mismatch named is a's channels in order, then b's.
+    all of them. run() builds the ntt and mult traces and derives the
+    intt trace from the ntt one with inverse_trace. Every step's output
+    must equal, per memory, the reference transform of the input it read
+    from that memory, stalls or not; the reference runs once per step and
+    channel, on the stack of that channel's memories (a two-row stack at
+    N >= 2^16 runs on threads, as the module docstring says). The first
+    mismatch named is a's channels in order, then b's.
     """
     sequence = op_steps(op)
     a_chan = _channels(a, config.moduli, config.N, "a")
@@ -602,14 +619,22 @@ def run(
 
     # cells[i] is the flat memory cell (bank * n + addr) holding coefficient i
     cells = make_layout(config.N, config.layout_kind).cells(np.arange(config.N))
-    held = np.argsort(cells)  # the coefficient each cell holds
+    held = np.empty(config.N, np.intp)  # the coefficient each cell holds
+    held[cells] = np.arange(config.N)
     mem_a = [coeffs[held] for coeffs in a_chan]
     mem_b = [coeffs[held] for coeffs in b_chan or []]
 
+    nq = len(config.moduli)
     reports: List[HazardReport] = []
+    forward = None
     for kind, steps in itertools.groupby(range(len(sequence)), key=sequence.__getitem__):
         steps = list(steps)
-        trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
+        if kind == "intt" and forward is not None:
+            trace = inverse_trace(forward)
+        else:
+            trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
+        if kind == "ntt":
+            forward = trace
         # chained ops start only after the previous one fully retires, so
         # equal traces time equally
         timing = detect_hazards(
@@ -618,17 +643,22 @@ def run(
         if config.hazard_policy == "fail-fast" and timing.events:
             raise SimHazardError(timing.events[0])
         # (mem, other, mod) per memory that runs the trace: a's channels,
-        # then, in polymul's second forward transform, b's
+        # then, in polymul's second forward transform, b's; memory i is on
+        # channel i % nq
         memories = [
             ((mem_b if op == "polymul" and step == 1 else mem_a)[ch],
              mem_b[ch] if kind == "mult" else None, mod)
             for step in steps
             for ch, mod in enumerate(config.moduli)
         ]
-        expect = [
-            _reference(kind, mod, mem[cells], None if other is None else other[cells])
-            for mem, other, mod in memories
-        ]
+        # one reference call per channel (each has its own modulus), on the
+        # stack of its memories' inputs
+        expect = [None] * len(memories)
+        for ch, mod in enumerate(config.moduli):
+            mine = memories[ch::nq]
+            inputs = np.stack([mem[cells] for mem, _other, _mod in mine])
+            others = None if kind != "mult" else np.stack([other[cells] for _, other, _ in mine])
+            expect[ch::nq] = _reference(kind, mod, inputs, others)
         _replay_numerics(trace, memories)
         for (mem, _other, mod), want in zip(memories, expect):
             if not np.array_equal(mem[cells], want):

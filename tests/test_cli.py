@@ -191,6 +191,12 @@ class TestRejectedInput:
         # and so is an over-long --q list, before any entry's primality test
         (["sim", "--n", "16", "--npe", "2", "--q", ",".join(["15"] + ["97"] * 64)],
          "Nq=65 exceeds the maximum Nq=64"),
+        # a prime chain shorter than --nq is refused with what it found
+        (["sim", "--n", "1024", "--npe", "4", "--q-bits", "14", "--nq", "2"],
+         "only 1 prime below 2^14 is congruent to 1 mod 2048; 2 were asked for"),
+        # the closed form is the shifted layout's; sim counts the sequential one
+        (["predict", "--layout", "sequential", "--n", "1024", "--npe", "8", "--op", "polymul"],
+         "predict has no closed form for the sequential layout; sim counts its cycles"),
     ])
     def test_pinned_messages(self, tmp_path, monkeypatch, capsys, args, message):
         monkeypatch.chdir(tmp_path)
@@ -396,6 +402,15 @@ class TestPredict:
         )
         assert code == 0
         assert out.strip() == "1042"
+
+    def test_sequential_layout_refused_from_a_file(self, tmp_path, capsys):
+        # the file's layout is refused as the flag's is, not dropped
+        cfg = tmp_path / "predict.cfg"
+        cfg.write_text("command = predict\nn = 1024\nnpe = 8\nop = polymul\n"
+                       "layout = sequential\n")
+        assert run_cli(["--config", str(cfg)], capsys) == (
+            1, "", "error: predict has no closed form for the sequential layout; "
+            "sim counts its cycles\n")
 
     def test_refusal_when_bound_violated(self, capsys):
         code, _out, err = run_cli(

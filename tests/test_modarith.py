@@ -347,6 +347,8 @@ class TestFindNttPrime:
         (20, 1, "N=1 is not a power of two"),
         (10, 512, r"2N=1024 does not fit below 2\^10"),
         (-1, 16, "bit width -1 is negative"),
+        # 33 = 3 * 11 is the one candidate below 2^6 that is 1 mod 32
+        (6, 16, r"^no prime below 2\^6 is congruent to 1 mod 32$"),
     ])
     def test_rejects_unsupported_request(self, bits, n, message):
         with pytest.raises(ValueError, match=message):

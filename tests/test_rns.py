@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,15 @@ class TestBasis:
     def test_insufficient_primes(self):
         with pytest.raises(ValueError):
             gen_basis(9, 40, 16)
+
+    @pytest.mark.parametrize("bits,n_q,n,message", [
+        (14, 2, 1024, "only 1 prime below 2^14 is congruent to 1 mod 2048; 2 were asked for"),
+        (9, 40, 16, "only 5 primes below 2^9 are congruent to 1 mod 32; 40 were asked for"),
+        (6, 2, 16, "no prime below 2^6 is congruent to 1 mod 32; 2 were asked for"),
+    ])
+    def test_short_chain_counts_what_it_found(self, bits, n_q, n, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gen_basis(bits, n_q, n)
 
     def test_chain_is_one_scan(self, monkeypatch):
         # each prime of the chain is drawn once, not rescanned from 2^bits

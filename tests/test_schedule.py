@@ -6,6 +6,7 @@ coverage, bank uniqueness, operand separation and issue-cycle counts.
 
 import collections
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -18,6 +19,7 @@ from nttsim.schedule import (
     build_schedule,
     check_raw_bound,
     export_csv,
+    inverse_trace,
     trace_stats,
 )
 
@@ -154,6 +156,48 @@ class TestReferenceBuilder:
         records = [rec for group in reference_cycles(16384, 64, op, layout) for rec in group]
         for npe in (1, 64):
             assert_reference_columns(build_schedule(16384, npe, op, layout_kind=layout), records)
+
+
+class TestInverseTrace:
+    """The intt trace is the ntt trace's stage blocks in reverse order."""
+
+    # the five int32 columns of every intt trace for N 16-16384, every Npe,
+    # both layouts, as build_schedule made them before it derived the
+    # inverse from the forward trace
+    DIGEST = "b7fb0ff255496975dfb1c24e438e19b13379efe2f8e8eec8034bcfda00a62175"
+
+    def test_columns_pinned(self):
+        digest = hashlib.sha256()
+        for n_total in (16, 64, 256, 1024, 4096, 16384):
+            n = 1 << ((n_total.bit_length() - 1) // 2)
+            for npe in [1 << e for e in range((n // 2).bit_length())]:
+                for layout in ("shifted", "sequential"):
+                    trace = build_schedule(n_total, npe, "intt", layout)
+                    for column in (trace.stage, trace.rnd, trace.r0, trace.r1, trace.tw):
+                        assert column.dtype == np.int32
+                        digest.update(column.tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("n_total,npe,layout", [(16, 2, "shifted"), (1024, 4, "sequential")])
+    def test_stage_blocks_reversed(self, n_total, npe, layout):
+        forward = build_schedule(n_total, npe, "ntt", layout)
+        inverse = inverse_trace(forward)
+        assert inverse.op_kind == "intt"
+        forward_blocks = [rows for _stage, rows in forward.stage_slices]
+        inverse_blocks = [rows for _stage, rows in inverse.stage_slices]
+        assert [s for s, _ in inverse.stage_slices] == [s for s, _ in forward.stage_slices][::-1]
+        for rows, back in zip(inverse_blocks, forward_blocks[::-1]):
+            for name in ("stage", "rnd", "r0", "r1", "tw"):
+                assert (getattr(inverse, name)[rows] == getattr(forward, name)[back]).all()
+
+    @pytest.mark.parametrize("op", ["intt", "mult"])
+    def test_takes_only_a_forward_trace(self, op):
+        with pytest.raises(ValueError, match=f"^inverse_trace takes an ntt trace, got '{op}'$"):
+            inverse_trace(build_schedule(16, 2, op))
+
+    def test_stage_slices_computed_once(self):
+        trace = build_schedule(64, 2, "intt")
+        assert trace.stage_slices is trace.stage_slices
 
 
 class TestPhaseStructure:

@@ -547,21 +547,25 @@ class TestMismatchCheck:
 
     @staticmethod
     def corrupt_schedule(monkeypatch, op, field):
-        real = sim.build_schedule
+        """Corrupt every op trace run() gets: from build_schedule, and from
+        inverse_trace, which derives polymul's intt trace from its ntt trace."""
 
-        def corrupted(*args, **kwargs):
-            trace = real(*args, **kwargs)
-            if trace.op_kind != op:
-                return trace
-            # the first record's twiddle flipped, or its r1 set to the second record's
-            column = getattr(trace, field).copy()
-            if field == "tw":
-                column[0] = 0 if column[0] else 1
-            else:
-                column[0] = column[1]
-            return dataclasses.replace(trace, **{field: column})
+        def corrupting(real):
+            def corrupted(*args, **kwargs):
+                trace = real(*args, **kwargs)
+                if trace.op_kind != op:
+                    return trace
+                # the first record's twiddle flipped, or its r1 set to the second record's
+                column = getattr(trace, field).copy()
+                if field == "tw":
+                    column[0] = 0 if column[0] else 1
+                else:
+                    column[0] = column[1]
+                return dataclasses.replace(trace, **{field: column})
+            return corrupted
 
-        monkeypatch.setattr(sim, "build_schedule", corrupted)
+        for name in ("build_schedule", "inverse_trace"):
+            monkeypatch.setattr(sim, name, corrupting(getattr(sim, name)))
 
     @pytest.mark.parametrize("op,field", CORRUPTIONS)
     def test_corrupted_trace_raises(self, monkeypatch, op, field):
@@ -624,6 +628,27 @@ class TestMismatchCheck:
         message = f"{kind} result mismatch on channel {named} (q={qs[named]})"
         with pytest.raises(SimMismatchError, match=f"^{re.escape(message)}$"):
             run(cfg, a, b, op=op)
+
+    @pytest.mark.parametrize("perturb", [0, 1, 2])
+    def test_perturbed_reference_names_the_channel(self, monkeypatch, perturb):
+        # polymul checks each channel's a and b in one reference call: a
+        # wrong product in channel perturb's stack must be reported on that
+        # channel, not on one its result was sent to
+        cfg = make_sim_config(64, 4, q_bits=32, n_q=3, profile="q32")
+        q = cfg.moduli[perturb].q
+        a, b = random_operand(cfg, 33), random_operand(cfg, 34)
+        run(cfg, a, b, op="polymul")
+        real = ntt.shoup_mul_into
+
+        def perturbed(v, w, w_pre, mod, out, tmp):
+            real(v, w, w_pre, mod, out, tmp)
+            if mod.q == q:
+                out.flat[0] = (int(out.flat[0]) + 1) % mod.q
+
+        monkeypatch.setattr(ntt, "shoup_mul_into", perturbed)
+        message = f"ntt result mismatch on channel {perturb} (q={q})"
+        with pytest.raises(SimMismatchError, match=f"^{re.escape(message)}$"):
+            run(cfg, a, b, op="polymul")
 
     def test_cli_exits_3(self, monkeypatch, capsys):
         argv = ["sim", "--n", "64", "--npe", "4", "--q-bits", "14", "--op", "polymul"]
@@ -766,6 +791,33 @@ class TestPolymul:
         assert len(report.reports) == len(sim.OP_STEPS[op])
         if op == "polymul":
             assert report.reports[0] == report.reports[1]
+
+    def test_fixed_costs_paid_once(self, monkeypatch):
+        """polymul builds the ntt and mult traces and derives the intt one,
+        and checks each step kind with one reference call per modulus, on
+        the stack of that channel's memories."""
+        cfg = make_sim_config(64, 4, q_bits=32, n_q=2, profile="q32")
+        builds, references = [], []
+        build, reference = sim.build_schedule, sim._reference
+
+        def counted_build(n_total, npe, op_kind, *args):
+            builds.append(op_kind)
+            return build(n_total, npe, op_kind, *args)
+
+        def counted_reference(op_kind, mod, a_coeffs, b_coeffs):
+            references.append((op_kind, mod.q, a_coeffs.shape))
+            return reference(op_kind, mod, a_coeffs, b_coeffs)
+
+        monkeypatch.setattr(sim, "build_schedule", counted_build)
+        monkeypatch.setattr(sim, "_reference", counted_reference)
+        run(cfg, random_operand(cfg, 35), random_operand(cfg, 36), op="polymul")
+        assert builds == ["ntt", "mult"]
+        q0, q1 = (mod.q for mod in cfg.moduli)
+        assert references == [
+            ("ntt", q0, (2, 64)), ("ntt", q1, (2, 64)),
+            ("mult", q0, (1, 64)), ("mult", q1, (1, 64)),
+            ("intt", q0, (1, 64)), ("intt", q1, (1, 64)),
+        ]
 
     # N=256, Npe=4 has RAW bound 16 under q32's delay of 19; N=1024, Npe=8
     # has bound 32
