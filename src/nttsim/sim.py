@@ -630,7 +630,7 @@ def run(
     for kind, steps in itertools.groupby(range(len(sequence)), key=sequence.__getitem__):
         steps = list(steps)
         if kind == "intt" and forward is not None:
-            trace = inverse_trace(forward)
+            trace, forward = inverse_trace(forward), None  # forward's last use
         else:
             trace = build_schedule(config.N, config.npe, kind, config.layout_kind)
         if kind == "ntt":
